@@ -1,13 +1,14 @@
 """Error measurement, convergence orders, and coefficient-decay diagnostics.
 
-Errors are midpoint Riemann sums on a fine uniform grid whose
-interface-containing cell is split at gamma, so the derivative jump
-never sits inside a quadrature cell.  The decay diagnostics measure the
-wavelet coefficients <u, 2^j eta~_{j;k}> of a known piecewise-smooth
-function against the dual wavelets, split into the family away from the
-interface (fast decay, driven by vanishing moments) and the family
-whose dual support touches the interface (slow decay, driven by the
-kink) — the quantities behind the enrichment rule.
+Errors are integrated with the Gauss rule of the Galerkin assembly on
+the graded mesh of all basis breakpoints plus gamma (see
+`galerkin._gauss_mesh`), so the quadrature resolves every enrichment
+level and never straddles the derivative jump.  The decay diagnostics
+measure the wavelet coefficients <u, 2^j eta~_{j;k}> of a known
+piecewise-smooth function against the dual wavelets, split into the
+family away from the interface (fast decay, driven by vanishing moments)
+and the family whose dual support touches the interface (slow decay,
+driven by the kink) — the quantities behind the enrichment rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import DiscreteSolution, evaluate_solution
+from .galerkin import DiscreteSolution, _gauss_mesh, evaluate_solution
 from .piecewise import PiecewisePolynomial, gauss_rule
 from .wavelets import WaveletSystem
 
@@ -26,7 +27,6 @@ __all__ = [
     "ErrorPair",
     "ConvergenceRecord",
     "DecayProbe",
-    "midpoint_grid",
     "error_norms",
     "convergence_orders",
     "coefficient_decay_probe",
@@ -68,19 +68,6 @@ class DecayProbe:
     slope: float
 
 
-def midpoint_grid(F: int, gamma: float | None = None):
-    """Midpoints and widths of 2^F uniform cells, split at gamma."""
-    n = 2**F
-    edges = np.linspace(0.0, 1.0, n + 1)
-    if gamma is not None and 0.0 < gamma < 1.0:
-        i = int(np.searchsorted(edges, gamma))
-        if edges[i] != gamma:
-            edges = np.insert(edges, i, gamma)
-    w = np.diff(edges)
-    x = edges[:-1] + w / 2
-    return x, w
-
-
 def _reference_values(reference, x):
     if reference is None:
         raise ValueError("error measurement requires a reference solution")
@@ -93,15 +80,21 @@ def _reference_values(reference, x):
     raise TypeError(f"unsupported reference type {type(reference).__name__}")
 
 
-def error_norms(sol: DiscreteSolution, reference, F: int, gamma: float | None = None) -> ErrorPair:
-    """L2 and H1-seminorm errors of sol against a reference, on a 2^F grid."""
-    if F < sol.basis.J + 3:
-        raise ValueError(f"fine-grid exponent F={F} must be >= J+3 = {sol.basis.J + 3}")
+def error_norms(sol: DiscreteSolution, reference, gamma: float | None = None) -> ErrorPair:
+    """L2 and H1-seminorm errors of sol against a reference.
+
+    Gauss quadrature on every cell of the union of sol's breakpoints (and
+    the reference's, when it is discrete) plus gamma, so each cell holds
+    one polynomial piece of every basis function and one side of gamma.
+    """
     if gamma is None:
         gamma = sol.basis.gamma
-    x, w = midpoint_grid(F, gamma)
-    uj, duj = evaluate_solution(sol, x)
+    bases = [sol.basis]
+    if isinstance(reference, DiscreteSolution):
+        bases.append(reference.basis)
+    x, w = _gauss_mesh(bases, gamma)
     ur, dur = _reference_values(reference, x)
+    uj, duj = evaluate_solution(sol, x)
     e_l2 = math.sqrt(float(np.dot(w, (uj - ur) ** 2)))
     e_h1 = math.sqrt(float(np.dot(w, (duj - dur) ** 2)))
     return ErrorPair(e_l2, e_h1)

@@ -46,7 +46,6 @@ class BasisFunction:
     component: int
     primal: PiecewisePolynomial  # already carries the 2^-j rescaling
     dual_support: Interval
-    h1_scale: float
 
     @property
     def support(self) -> Interval:
@@ -59,8 +58,7 @@ class BasisFunction:
 def _make(sys: WaveletSystem, kind: str, side: str, j: int, k: int, comp: int) -> BasisFunction:
     prim = sys.family(kind, side, dual=False)[comp]
     dual = sys.family(kind, side, dual=True)[comp]
-    scale = Fraction(1, 2**j)
-    pp = prim.dyadic_transform(j, k).scale(scale)
+    pp = prim.dyadic_transform(j, k).scale(Fraction(1, 2**j))
     dsup = dual.dyadic_transform(j, k).support
     return BasisFunction(
         j=j,
@@ -69,7 +67,6 @@ def _make(sys: WaveletSystem, kind: str, side: str, j: int, k: int, comp: int) -
         component=comp,
         primal=pp,
         dual_support=dsup,
-        h1_scale=float(scale),
     )
 
 

@@ -47,6 +47,7 @@ EXIT_SOLVER = 4
 
 MAX_LEVEL = 14
 MODES = ("enriched", "fem")
+_EXPERIMENT_KEYS = ("problem", "system", "mode", "jmin", "jmax", "out")
 
 
 class ConfigError(ValueError):
@@ -61,7 +62,6 @@ class ExperimentConfig:
     mode: str = "enriched"
     jmin: int | None = None
     jmax: int = 6
-    F: int | None = None  # fine-grid exponent; default jmax + 4
     out: str | None = None
 
     def validate(self) -> None:
@@ -87,6 +87,9 @@ def load_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if cp.has_section("experiment"):
         sec = cp["experiment"]
+        unknown = sorted(set(sec) - set(_EXPERIMENT_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [experiment]: {', '.join(unknown)}")
         cfg.problem = sec.get("problem", cfg.problem)
         cfg.system = sec.get("system", cfg.system)
         cfg.mode = sec.get("mode", cfg.mode)
@@ -95,8 +98,6 @@ def load_config(path: str) -> ExperimentConfig:
                 cfg.jmin = sec.getint("jmin")
             if "jmax" in sec:
                 cfg.jmax = sec.getint("jmax")
-            if "F" in sec:
-                cfg.F = sec.getint("F")
         except ValueError as e:
             raise ConfigError(f"bad integer in [experiment]: {e}") from e
         cfg.out = sec.get("out", cfg.out)
@@ -137,7 +138,6 @@ def run(cfg: ExperimentConfig, log=None) -> list:
     levels = list(range(jmin, cfg.jmax + 1))
     if not levels:
         raise ConfigError("empty level range")
-    F = cfg.F if cfg.F is not None else cfg.jmax + 4
 
     reference = problem
     if problem.exact is None:
@@ -145,7 +145,6 @@ def run(cfg: ExperimentConfig, log=None) -> list:
         j_ref = cfg.jmax + 2
         ref_basis = enriched_basis(sysdef, sysdef.J0, j_ref, problem.gamma)
         reference = solve(assemble(ref_basis, problem))
-        F = max(F, j_ref + 3)
 
     records = []
     for J in levels:
@@ -156,7 +155,7 @@ def run(cfg: ExperimentConfig, log=None) -> list:
         system = assemble(basis, problem)
         sol = solve(system)
         kappa = condition_number(system.A)
-        pair = error_norms(sol, reference, F, gamma=problem.gamma)
+        pair = error_norms(sol, reference, gamma=problem.gamma)
         records.append(ConvergenceRecord(J, basis.N, kappa, pair.E_L2, pair.E_H1))
         if log:
             log(
@@ -202,7 +201,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        for name in ("problem", "mode", "system", "jmin", "jmax", "out"):
+        for name in _EXPERIMENT_KEYS:
             val = getattr(args, name)
             if val is not None:
                 setattr(cfg, name, val)

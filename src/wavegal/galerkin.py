@@ -2,17 +2,19 @@
 
 Weak form: find u in the discrete space with
     int a u' v' = int f v - g_gamma v(gamma)   for all basis v,
-where a and f may jump at the interface point gamma.  Quadrature is a
-composite 10-node Gauss rule on each basis function's own cells, split
-at gamma, so no quadrature cell straddles the coefficient jump.  Entry
-(i, j) is integrated on the cells of the *finer* of the two functions;
-dyadic nestedness guarantees the coarser function is a single
-polynomial on every such cell.
+where a and f may jump at the interface point gamma.  Every integral
+runs on one graded mesh: the union of all basis breakpoints plus gamma,
+which is finest near gamma where the enrichment levels sit.  On each of
+its cells every basis function is a single polynomial and a, f are
+smooth, so a QUAD_NODES-point Gauss rule per cell is exact for the
+polynomial part.  One sparse point operator (basis values and
+derivatives at the Gauss nodes) gives the stiffness matrix, the load
+vector and the evaluation of discrete solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,83 +131,93 @@ class DiscreteSolution:
             raise ValueError("coefficient count does not match basis size")
 
 
-class _Cache:
-    """Per-basis-function quadrature data on its own cells (split at gamma)."""
+def _tables(basis):
+    """Float tables of every basis function, padded to common widths.
 
-    __slots__ = ("x", "w", "vals", "dvals", "a_vals", "f_vals", "deriv")
-
-    def __init__(self, bf, problem):
-        breaks = [float(b) for b in bf.primal.breakpoints]
-        g = problem.gamma if problem is not None else None
-        if g is not None and breaks[0] < g < breaks[-1] and g not in breaks:
-            import bisect
-
-            breaks.insert(bisect.bisect_left(breaks, g), g)
-        breaks = np.asarray(breaks)
-        xs, ws = gauss_rule(QUAD_NODES)
-        lo, h = breaks[:-1], np.diff(breaks)
-        self.x = (lo[:, None] + h[:, None] * xs[None, :]).ravel()
-        self.w = (h[:, None] * ws[None, :]).ravel()
-        self.deriv = bf.primal.derivative()
-        self.vals = bf.primal.evaluate_array(self.x)
-        self.dvals = self.deriv.evaluate_array(self.x)
-        if problem is not None:
-            self.a_vals = problem.a(self.x)
-            self.f_vals = problem.f(self.x)
+    Returns (breaks, coeffs, first): breakpoints per function padded with
+    +inf, the local monomial coefficients of all pieces stacked and padded
+    with zeros to the highest degree, and each function's first piece row.
+    """
+    caches = [bf.primal._float_cache() for bf in basis]
+    nb = np.array([len(b) for b, _ in caches])
+    breaks = np.full((len(nb), nb.max()), np.inf)
+    breaks[np.arange(nb.max()) < nb[:, None]] = np.concatenate([b for b, _ in caches])
+    widths = np.repeat([c.shape[1] for _, c in caches], nb - 1)
+    coeffs = np.zeros((len(widths), widths.max()))
+    coeffs[np.arange(widths.max()) < widths[:, None]] = np.concatenate([c.ravel() for _, c in caches])
+    first = np.cumsum(nb - 1) - (nb - 1)
+    return breaks, coeffs, first
 
 
-def _resolution(bf) -> int:
-    """Cell-grid fineness: wavelets at level j live on the level j+1 grid."""
-    return bf.j + (1 if bf.kind.startswith("wavelet") else 0)
+def _point_operator(basis, x):
+    """Sparse len(x) x N matrices (V, D) of basis values and derivatives at x.
+
+    Each function follows `PiecewisePolynomial.evaluate_array`: the left
+    limit at interior breakpoints and at the right end of its support, the
+    right limit at its left end, and zero outside the support.
+    """
+    x = np.asarray(x, dtype=float)
+    breaks, coeffs, first = _tables(basis)
+    n, width = breaks.shape
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    nb = np.isfinite(breaks).sum(axis=1)
+    i0 = np.searchsorted(xs, breaks[:, 0], side="left")
+    i1 = np.searchsorted(xs, breaks[np.arange(n), nb - 1], side="right")
+    count = i1 - i0
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    # one entry per (function, point in its closed support), grouped by function
+    f = np.repeat(np.arange(n), count)
+    pos = np.arange(indptr[-1]) + np.repeat(i0 - indptr[:-1], count)
+    xp = xs[pos]
+    piece = np.zeros(len(f), dtype=np.intp)
+    for k in range(1, width - 1):  # breakpoints strictly below x, past the first
+        piece += breaks[f, k] < xp
+    t = xp - breaks[f, piece]
+    c = coeffs[first[f] + piece]
+    val = c[:, -1].copy()
+    der = np.zeros_like(t)
+    for d in range(c.shape[1] - 2, -1, -1):
+        der = der * t + val
+        val = val * t + c[:, d]
+    shape = (len(x), n)
+    rows = order[pos]
+    V = scipy.sparse.csc_matrix((val, rows, indptr), shape=shape)
+    D = scipy.sparse.csc_matrix((der, rows, indptr), shape=shape)
+    return V, D
 
 
-def _overlap_pairs(basis):
-    lo = np.array([float(bf.support.lo) for bf in basis])
-    hi = np.array([float(bf.support.hi) for bf in basis])
-    inter = (lo[:, None] < hi[None, :]) & (lo[None, :] < hi[:, None])
-    ii, jj = np.nonzero(np.triu(inter))
-    return ii, jj, lo, hi
+def _gauss_mesh(bases, gamma=None):
+    """QUAD_NODES Gauss nodes and weights on every cell of the union of the
+    breakpoints of all functions in `bases`, plus gamma when given."""
+    pts = [bf.primal._float_cache()[0] for basis in bases for bf in basis]
+    if gamma is not None:
+        pts.append([gamma])
+    edges = np.unique(np.concatenate(pts))
+    t, wt = gauss_rule(QUAD_NODES)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    h = hi - lo
+    # on cells only a few ulps wide the nodes may round onto an edge, where
+    # the functions meeting there would all be evaluated; keep them inside
+    x = np.clip(lo + h * t, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    return x.ravel(), (h * wt).ravel()
 
 
 def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy.sparse.csr_matrix:
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
-    n = len(basis)
-    caches = [_Cache(bf, problem) for bf in basis]
-    res = [_resolution(bf) for bf in basis]
-    ii, jj, lo, hi = _overlap_pairs(basis)
-    rows, cols, data = [], [], []
-    for i, j in zip(ii, jj):
-        own, other = (i, j) if res[i] >= res[j] else (j, i)
-        c = caches[own]
-        if i == j:
-            v = float(np.dot(c.w, c.a_vals * c.dvals * c.dvals))
-        else:
-            a_ = max(lo[i], lo[j])
-            b_ = min(hi[i], hi[j])
-            s = np.searchsorted(c.x, [a_, b_])
-            sl = slice(s[0], s[1])
-            od = caches[other].deriv.evaluate_array(c.x[sl])
-            v = float(np.dot(c.w[sl], c.a_vals[sl] * c.dvals[sl] * od))
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            data.append(v)
-    A = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    return A
+    x, w = _gauss_mesh([basis], problem.gamma)
+    _, D = _point_operator(basis, x)
+    # A = D^T diag(w a) D, formed as S^T S so that it is exactly symmetric
+    S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
+    return (S.T @ S).tocsr()
 
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
     """Load vector b[i] = int f eta_i - g_gamma eta_i(gamma)."""
-    b = np.zeros(len(basis))
-    for i, bf in enumerate(basis):
-        c = _Cache(bf, problem)
-        b[i] = float(np.dot(c.w, c.f_vals * c.vals))
-        if problem.g_gamma != 0.0 and bf.support.contains(problem.gamma):
-            b[i] -= problem.g_gamma * bf.primal(problem.gamma)
-    return b
+    x, w = _gauss_mesh([basis], problem.gamma)
+    V, _ = _point_operator(basis, x)
+    Vg, _ = _point_operator(basis, [problem.gamma])
+    return V.T @ (w * problem.f(x)) - Vg.T @ np.array([problem.g_gamma])
 
 
 def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
@@ -249,7 +261,8 @@ def _cg_jacobi(A, b, rtol=CG_RTOL):
 
 
 def solve(system: LinearSystem, method: str = "auto") -> DiscreteSolution:
-    """Solve A c = b.  method: 'auto', 'cholesky', 'cg', or 'dense'."""
+    """Solve A c = b.  method: 'auto' (Cholesky below DENSE_CUTOFF unknowns,
+    CG above), 'cholesky' or 'cg'."""
     A, b = system.A, system.b
     n = len(b)
     if method == "auto":
@@ -260,8 +273,6 @@ def solve(system: LinearSystem, method: str = "auto") -> DiscreteSolution:
         except scipy.linalg.LinAlgError as e:
             raise SolverError(f"Cholesky factorization failed: {e}") from e
         c = scipy.linalg.cho_solve(cf, b)
-    elif method == "dense":
-        c = np.linalg.solve(A.toarray(), b)
     elif method == "cg":
         c = _cg_jacobi(A, b)
     else:
@@ -301,26 +312,8 @@ def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarr
     x = np.asarray(grid, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation grid must lie in [0, 1]")
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    vals = np.zeros_like(xs)
-    dvals = np.zeros_like(xs)
-    for c, bf in zip(sol.coefficients, sol.basis):
-        if c == 0.0:
-            continue
-        a_, b_ = float(bf.support.lo), float(bf.support.hi)
-        i0 = np.searchsorted(xs, a_, side="left")
-        i1 = np.searchsorted(xs, b_, side="right")
-        if i0 == i1:
-            continue
-        pts = xs[i0:i1]
-        vals[i0:i1] += c * bf.primal.evaluate_array(pts)
-        dvals[i0:i1] += c * bf.primal.derivative().evaluate_array(pts)
-    out_v = np.empty_like(vals)
-    out_d = np.empty_like(dvals)
-    out_v[order] = vals
-    out_d[order] = dvals
-    return out_v, out_d
+    V, D = _point_operator(sol.basis, x)
+    return V @ sol.coefficients, D @ sol.coefficients
 
 
 def export_matrix_market(obj, path) -> None:

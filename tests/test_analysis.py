@@ -1,6 +1,7 @@
 """Unit tests for error norms, convergence orders, and decay diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from wavegal.analysis import (
     coefficient_decay_probe,
     convergence_orders,
     error_norms,
-    midpoint_grid,
     tail_energy,
     write_records_csv,
 )
 from wavegal.basis import enriched_basis
 from wavegal.galerkin import DiscreteSolution, InterfaceProblem, assemble, solve
+from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
 
@@ -29,26 +30,31 @@ def sys2():
     return builtin_order2_system()
 
 
+def union_gauss(bases, gamma):
+    """10-point Gauss nodes and weights on the cells of the union of all
+    basis breakpoints plus gamma, built from the exact breakpoints."""
+    edges = {b for basis in bases for bf in basis for b in bf.primal.breakpoints}
+    edges = np.array([float(e) for e in sorted(edges | {Fraction(gamma)})])
+    t, wt = np.polynomial.legendre.leggauss(10)
+    h = np.diff(edges)
+    x = (edges[:-1, None] + h[:, None] * (t + 1) / 2).ravel()
+    return x, (h[:, None] * wt / 2).ravel()
+
+
+def expand(sol, x):
+    """u_J and u_J' at sorted x, one basis function at a time."""
+    u = np.zeros_like(x)
+    du = np.zeros_like(x)
+    for c, bf in zip(sol.coefficients, sol.basis):
+        i0, i1 = np.searchsorted(x, [float(bf.support.lo), float(bf.support.hi)])
+        u[i0:i1] += c * bf.primal.evaluate_array(x[i0:i1])
+        du[i0:i1] += c * bf.primal.derivative().evaluate_array(x[i0:i1])
+    return u, du
+
+
 def zero_solution(sys2, J=2, gamma=0.3):
     eb = enriched_basis(sys2, 2, J, gamma)
     return DiscreteSolution(np.zeros(eb.N), eb)
-
-
-class TestMidpointGrid:
-    def test_widths_sum_to_one(self):
-        for g in (None, 0.3, math.pi / 6):
-            x, w = midpoint_grid(6, g)
-            assert float(w.sum()) == pytest.approx(1.0, abs=1e-14)
-
-    def test_gamma_becomes_cell_edge(self):
-        g = math.pi / 6
-        x, w = midpoint_grid(5, g)
-        edges = np.concatenate([[0.0], np.cumsum(w)])
-        assert np.min(np.abs(edges - g)) < 1e-14
-
-    def test_dyadic_gamma_adds_no_cell(self):
-        x, w = midpoint_grid(5, 0.25)
-        assert len(x) == 2**5
 
 
 class TestErrorNorms:
@@ -56,7 +62,7 @@ class TestErrorNorms:
         sol = zero_solution(sys2)
         u = lambda x: x * (1 - x)
         du = lambda x: 1 - 2 * np.asarray(x)
-        pair = error_norms(sol, (u, du), F=14)
+        pair = error_norms(sol, (u, du))
         assert pair.E_L2 == pytest.approx(1 / math.sqrt(30), abs=1e-6)
         assert pair.E_H1 == pytest.approx(math.sqrt(1 / 3), abs=1e-6)
 
@@ -64,20 +70,36 @@ class TestErrorNorms:
         eb = enriched_basis(sys2, 2, 3, 0.3)
         rng = np.random.default_rng(0)
         sol = DiscreteSolution(rng.normal(size=eb.N), eb)
-        pair = error_norms(sol, sol, F=8)
+        pair = error_norms(sol, sol)
         assert pair.E_L2 == 0.0 and pair.E_H1 == 0.0
 
-    def test_fine_grid_must_resolve_basis(self, sys2):
-        sol = zero_solution(sys2, J=4)
-        with pytest.raises(ValueError, match="must be >= J\\+3"):
-            error_norms(sol, sol, F=5)
+    def test_h1_error_resolves_enrichment_levels(self, sys2):
+        # ex2 at J=9 has enrichment levels up to 17, which a uniform grid misses
+        p = builtin_problem("ex2")
+        sol = solve(assemble(enriched_basis(sys2, 2, 9, p.gamma), p))
+        x, w = union_gauss([sol.basis], p.gamma)
+        u, du = expand(sol, x)
+        pair = error_norms(sol, p)
+        assert pair.E_H1 == pytest.approx(math.sqrt(w @ (du - p.du(x)) ** 2), rel=1e-10)
+        assert pair.E_L2 == pytest.approx(math.sqrt(w @ (u - p.u(x)) ** 2), rel=1e-10)
+
+    def test_discrete_reference_mesh(self, sys2):
+        # the reference's own, finer breakpoints are part of the mesh
+        p = builtin_problem("ex2")
+        sol = solve(assemble(enriched_basis(sys2, 2, 3, p.gamma), p))
+        ref = solve(assemble(enriched_basis(sys2, 2, 5, p.gamma), p))
+        x, w = union_gauss([sol.basis, ref.basis], p.gamma)
+        (u, du), (ur, dur) = expand(sol, x), expand(ref, x)
+        pair = error_norms(sol, ref)
+        assert pair.E_H1 == pytest.approx(math.sqrt(w @ (du - dur) ** 2), rel=1e-10)
+        assert pair.E_L2 == pytest.approx(math.sqrt(w @ (u - ur) ** 2), rel=1e-10)
 
     def test_bad_reference_type(self, sys2):
         sol = zero_solution(sys2)
         with pytest.raises(TypeError):
-            error_norms(sol, object(), F=8)
+            error_norms(sol, object())
         with pytest.raises(ValueError):
-            error_norms(sol, None, F=8)
+            error_norms(sol, None)
 
 
 class TestConvergenceOrders:

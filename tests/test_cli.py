@@ -90,6 +90,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/exp.ini")
 
+    def test_unknown_key_refused(self, tmp_path):
+        # a stale fine-grid line from older configs must not pass silently
+        path = write_config(tmp_path, "[experiment]\njmax = 4\nF = 14\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+        assert main(["--config", path]) == EXIT_CONFIG
+
     def test_bad_integer(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\njmax = six\n")
         with pytest.raises(ConfigError, match="bad integer"):
