@@ -154,7 +154,11 @@ def _point_operator(basis, x):
 
     Each function follows `PiecewisePolynomial.evaluate_array`: the left
     limit at interior breakpoints and at the right end of its support, the
-    right limit at its left end, and zero outside the support.
+    right limit at its left end, and zero outside the support.  The one
+    exception is the largest float below the basis's gamma: when gamma
+    lies one ulp right of a breakpoint, that breakpoint is the only point
+    of the cell between the two, and `_gauss_mesh` puts the cell's nodes
+    there, so it takes the right limit.
     """
     x = np.asarray(x, dtype=float)
     breaks, coeffs, first = _tables(basis)
@@ -173,6 +177,15 @@ def _point_operator(basis, x):
     piece = np.zeros(len(f), dtype=np.intp)
     for k in range(1, width - 1):  # breakpoints strictly below x, past the first
         piece += breaks[f, k] < xp
+    past_end = []  # entries stepped past the right end of their support
+    if basis.gamma is not None:
+        edge = np.nextafter(basis.gamma, -np.inf)
+        i = np.searchsorted(xs, edge)
+        if i < len(xs) and xs[i] == edge:
+            step = (xp == edge) & (breaks[f, piece + 1] == edge)
+            end = step & (piece + 2 == nb[f])
+            piece += step & ~end
+            past_end = np.flatnonzero(end)
     t = xp - breaks[f, piece]
     c = coeffs[first[f] + piece]
     val = c[:, -1].copy()
@@ -180,6 +193,7 @@ def _point_operator(basis, x):
     for d in range(c.shape[1] - 2, -1, -1):
         der = der * t + val
         val = val * t + c[:, d]
+    val[past_end] = der[past_end] = 0.0
     shape = (len(x), n)
     rows = order[pos]
     V = scipy.sparse.csc_matrix((val, rows, indptr), shape=shape)
@@ -199,6 +213,7 @@ def _gauss_mesh(bases, gamma=None):
     h = hi - lo
     # on cells only a few ulps wide the nodes may round onto an edge, where
     # the functions meeting there would all be evaluated; keep them inside
+    # (a cell one ulp wide has them on its left edge: see _point_operator)
     x = np.clip(lo + h * t, np.nextafter(lo, hi), np.nextafter(hi, lo))
     return x.ravel(), (h * wt).ravel()
 

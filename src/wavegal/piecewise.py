@@ -374,7 +374,10 @@ def inner_product(
     computed exactly (closed-form integration of the local products).  A
     callable weight is integrated with a composite 10-node Gauss-Legendre
     rule per sub-cell, where the sub-cells come from both operands'
-    breakpoints, split at `gamma` when given.
+    breakpoints, split at `gamma` when given.  p and q are evaluated from
+    their coefficients about the sub-cell's left end, and the weight at
+    nodes clipped into the sub-cell, so a sub-cell a few ulps wide still
+    sees its own pieces and its own side of gamma.
     """
     if weight is None or isinstance(weight, PiecewisePolynomial):
         pts = _overlap_grid(p, q)
@@ -393,9 +396,10 @@ def inner_product(
     xs, ws = gauss_rule(10)
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        af, bf = float(a), float(b)
-        nodes = af + (bf - af) * xs
-        total += (bf - af) * float(
-            np.dot(ws, p.evaluate_array(nodes) * q.evaluate_array(nodes) * np.asarray(weight(nodes), dtype=float))
-        )
+        af, bf, h = float(a), float(b), float(b - a)
+        t = h * xs
+        pq = np.polyval([float(c) for c in reversed(p._local_coeffs(a))], t)
+        pq *= np.polyval([float(c) for c in reversed(q._local_coeffs(a))], t)
+        x = np.clip(af + t, np.nextafter(af, bf), np.nextafter(bf, af))
+        total += h * float(np.dot(ws, pq * np.asarray(weight(x), dtype=float)))
     return total

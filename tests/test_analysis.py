@@ -8,9 +8,11 @@ import pytest
 
 from wavegal.analysis import (
     CSV_HEADER,
+    _LATTICE_CHUNK,
+    DECAY_QUAD_NODES,
     ConvergenceRecord,
-    _coeffs_vectorized,
-    _DualQuad,
+    _coeff_split_at_gamma,
+    _lattice_coefficients,
     _level_coefficients,
     _level_families,
     coefficient_decay_probe,
@@ -21,6 +23,7 @@ from wavegal.analysis import (
 )
 from wavegal.basis import enriched_basis
 from wavegal.galerkin import DiscreteSolution, InterfaceProblem, assemble, solve
+from wavegal.piecewise import PiecewisePolynomial, gauss_rule
 from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
@@ -163,7 +166,7 @@ class TestDecayFamilies:
         g = math.pi / 6
         for j in (4, 6, 9):
             interior, boundary = _level_families(sys2, j, g)
-            total = sum(len(a) + len(t) for _, a, t in interior) + len(boundary)
+            total = sum(len(ks) for _, away, t in interior for ks in (*away, t)) + len(boundary)
             assert total == 2**j
 
     def test_touching_matches_enrichment_rule(self, sys2):
@@ -172,7 +175,7 @@ class TestDecayFamilies:
         g = math.pi / 6
         for j in (5, 8):
             interior, boundary = _level_families(sys2, j, g)
-            ks = sorted(int(k) for _, _, t in interior for k in t)
+            ks = sorted(k for _, _, t in interior for k in t)
             ks += sorted(k for _, k, is_t in boundary if is_t)
             want = sorted(bf.k for bf in interface_set(sys2, j, g))
             assert ks == want
@@ -181,15 +184,108 @@ class TestDecayFamilies:
         # two vanishing moments annihilate global linears exactly
         u = lambda x: np.asarray(x, dtype=float)
         for j in (4, 7):
-            ks = np.array(sys2.interior_range("wavelet", j))
-            c = _coeffs_vectorized(u, _DualQuad(sys2.psi_dual[0]), j, ks)
-            assert float(c.max()) < 1e-12
+            ks = sys2.interior_range("wavelet", j)
+            c = np.concatenate(list(_lattice_coefficients(u, sys2.psi_dual[0], j, ks)))
+            assert len(c) == len(ks)
+            assert float(np.abs(c).max()) < 1e-12
 
     def test_level_coefficients_shapes(self, sys2):
         u = lambda x: np.sin(3 * np.asarray(x))
-        away, touch = _level_coefficients(u, sys2, 5, math.pi / 6)
-        assert len(away) + len(touch) == 2**5
-        assert len(touch) >= 1
+        level = _level_coefficients(u, sys2, 5, math.pi / 6)
+        assert level.n_away + len(level.touching) == 2**5
+        assert len(level.touching) >= 1
+
+
+def per_dual_coefficients(u, pp, j, ks):
+    """|<u, 2^j eta~_{j;k}>| for each k in ks, every dual on Gauss nodes of
+    its own cells (none may straddle an interface)."""
+    breaks = np.array([float(b) for b in pp.breakpoints])
+    xs, ws = gauss_rule(DECAY_QUAD_NODES)
+    lo, h = breaks[:-1, None], np.diff(breaks)[:, None]
+    t = (lo + h * xs).ravel()
+    wv = (h * ws).ravel() * pp.evaluate_array(t)
+    x = 2.0**-j * (t + np.asarray(ks, dtype=float)[:, None])
+    return np.abs(2.0 ** (j / 2) * (np.asarray(u(x)) @ wv))
+
+
+def per_dual_tails(u, sys, g, J):
+    """tail_energy's two sums, one dual at a time."""
+    top = (2 * sys.m - 2) * J - 1
+    smooth = interface = 0.0
+    for j in range(J + 1, (2 * sys.m - 2) * J + 7):
+        duals = [(pp, k) for pp in sys.psi_dual for k in sys.interior_range("wavelet", j)]
+        duals += [(pp, 0) for pp in sys.psi_left_dual] + [(pp, 2**j - 1) for pp in sys.psi_right_dual]
+        away = {}
+        for pp, k in duals:
+            lo, hi = (float(b + k) / 2**j for b in (pp.breakpoints[0], pp.breakpoints[-1]))
+            if lo <= g <= hi:
+                if j > top:
+                    interface += _coeff_split_at_gamma(u, pp, j, k, g) ** 2
+            elif pp in sys.psi_dual:
+                away.setdefault(pp, []).append(k)
+            else:
+                smooth += _coeff_split_at_gamma(u, pp, j, k, g) ** 2
+        smooth += sum(float(np.sum(per_dual_coefficients(u, pp, j, ks) ** 2)) for pp, ks in away.items())
+    return smooth, interface
+
+
+def lattice(u, pp, j, ks):
+    return np.abs(np.concatenate(list(_lattice_coefficients(u, pp, j, ks))))
+
+
+def sample(n, j):
+    """Every index below level 9; above, a stride plus a few indices on
+    each side of every seam between two chunks of the lattice pass."""
+    if j <= 8:
+        return list(range(n))
+    seams = range(_LATTICE_CHUNK, n + _LATTICE_CHUNK, _LATTICE_CHUNK)
+    near = {i for b in seams for i in range(b - 4, b + 3) if 0 <= i < n}
+    return sorted(near | set(range(0, n, 97)))
+
+
+class TestLatticePass:
+    def test_matches_per_dual_quadrature(self, sys2):
+        # the duals' vanishing moments cancel terms of size
+        # 2^(j/2) |u| |eta~|_1 down to coefficients up to 2^-j times
+        # smaller, so both rules carry roundoff relative to the terms: the
+        # two differ by up to 3.9e-12 of the level's largest coefficient at
+        # j = 12, but by less than 2e-16 of the terms
+        p = builtin_problem("ex1")
+        u_max = float(np.abs(p.u(np.linspace(0.0, 1.0, 1001))).max())
+        for j in (4, 5, 6, 7, 8, 12, 14):
+            interior, _ = _level_families(sys2, j, p.gamma)
+            for pp, away, _ in interior:
+                lo, hi = float(pp.support.lo), float(pp.support.hi)
+                l1 = float(np.abs(pp.evaluate_array(np.linspace(lo, hi, 3001))).mean() * (hi - lo))
+                for ks in away:
+                    c = lattice(p.u, pp, j, ks)
+                    assert len(c) == len(ks)
+                    idx = sample(len(ks), j)
+                    ref = [_coeff_split_at_gamma(p.u, pp, j, ks[i], p.gamma) for i in idx]
+                    err = np.abs(c[idx] - ref)
+                    assert np.all(err <= 1e-14 * 2 ** (j / 2) * u_max * l1)
+
+    def test_quarter_point_dual(self):
+        # non-uniform breakpoints on a quarter grid, support not on whole
+        # numbers, and no vanishing moments: the lattice width is 1/4
+        pp = PiecewisePolynomial(
+            [Fraction(-3, 4), Fraction(-1, 2), Fraction(1, 4), Fraction(1, 2), Fraction(5, 4)],
+            [(1, -2, 3), (Fraction(1, 3), 4), (-1, Fraction(3, 2), -5), (2, -1, Fraction(1, 4))],
+        )
+        u = lambda x: np.exp(np.asarray(x)) * np.cos(3 * np.asarray(x))
+        for j in (4, 5, 6, 7, 8, 12, 14):
+            ks = range(1, 2**j - 1)  # supports inside (0, 1)
+            c = lattice(u, pp, j, ks)
+            assert len(c) == len(ks)
+            idx = sample(len(ks), j)
+            ref = [_coeff_split_at_gamma(u, pp, j, ks[i], 0.0) for i in idx]
+            assert np.all(np.abs(c[idx] - ref) <= 1e-12 * c.max())
+
+    def test_tail_energy_matches_per_dual_sums(self, sys2):
+        p = builtin_problem("ex1")
+        got = tail_energy(p.u, sys2, p.gamma, J=3)
+        want = per_dual_tails(p.u, sys2, p.gamma, 3)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def kinked_u(g):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavegal.basis import build_phi_level, enriched_basis, truncated_basis
@@ -172,6 +172,10 @@ class TestAgainstPairwiseQuadrature:
         contrast=st.floats(1e-3, 1e6),
         g=st.floats(-10.0, 10.0),
     )
+    # gamma one ulp right and left of a breakpoint, at both contrast ends
+    @example(gamma=0.5 + 2.0**-53, contrast=1e-3, g=0.0)
+    @example(gamma=0.5 + 2.0**-53, contrast=1e6, g=1.0)
+    @example(gamma=0.25 - 2.0**-55, contrast=1e6, g=0.0)
     def test_random_interface_data(self, sys2, gamma, contrast, g):
         p = InterfaceProblem(
             gamma=gamma,
@@ -181,10 +185,10 @@ class TestAgainstPairwiseQuadrature:
             f_plus=lambda x: np.cos(np.asarray(x)),
             g_gamma=g,
         )
-        # within 1e-15 of a breakpoint, gamma leaves a cell a few ulps wide
-        # whose Gauss nodes round onto its edges in the reference rule; that
-        # cell's share, up to width * contrast * 2^j ~ 2e-12 here, is the slack
-        assert_matches_reference(enriched_basis(sys2, 2, 3, gamma), p, rtol=1e-11)
+        # within 1e-15 of a breakpoint, gamma leaves a cell a few ulps wide;
+        # both rules keep its nodes inside it and on its side of gamma, and
+        # a cell one ulp wide left of gamma is read from its breakpoint's right
+        assert_matches_reference(enriched_basis(sys2, 2, 3, gamma), p)
 
 
 class TestLoad:
@@ -305,6 +309,16 @@ class TestEvaluateSolution:
             v, d = evaluate_solution(DiscreteSolution(c, eb), xs)
             assert v == pytest.approx(bf.primal.evaluate_array(xs), abs=1e-14)
             assert d == pytest.approx(bf.primal.derivative().evaluate_array(xs), abs=1e-14)
+
+    def test_breakpoint_one_ulp_left_of_gamma(self, sys2):
+        # the only point of the cell [1/2, gamma] reads every function's
+        # piece to its right: zero past a support's end, slope unchanged
+        g = 0.5 + 2.0**-53
+        eb = enriched_basis(sys2, 2, 3, g)
+        for c in np.eye(eb.N):
+            v, d = evaluate_solution(DiscreteSolution(c, eb), np.array([0.5, 0.5 + 2.0**-40]))
+            assert d[0] == d[1]
+            assert v[0] == pytest.approx(v[1], abs=1e-10)
 
     def test_unsorted_grid(self, sys2):
         eb = enriched_basis(sys2, 2, 3, 0.3)

@@ -175,6 +175,15 @@ class TestInnerProduct:
         v = inner_product(one, one, weight=w, gamma=0.5)
         assert v == pytest.approx(2.0, rel=1e-12)
 
+    def test_callable_weight_on_a_cell_a_few_ulps_wide(self):
+        # gamma four ulps right of the breakpoint 1/2 of p leaves the cell
+        # [1/2, gamma], where p' = -4, q' = 4 and the weight is high
+        g = 0.5 + 4 * 2.0**-53
+        p, q = hat(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), hat(Fraction(1, 2), Fraction(3, 4), 1)
+        w = lambda x: np.where(np.asarray(x) < g, 1e6, 1.0)
+        v = inner_product(p.derivative(), q.derivative(), weight=w, gamma=g)
+        assert v == pytest.approx(-16.0 * (1e6 * (g - 0.5) + (0.75 - g)), rel=1e-14)
+
 
 class TestMoment:
     def test_indicator_first_moment(self):
