@@ -53,7 +53,7 @@ from .analysis import (
     tail_energy,
     write_records_csv,
 )
-from .expressions import Expression, ExpressionError, expression_eval, parse_expression
+from .expressions import Expression, ExpressionError, parse_expression
 from .problems import BUILTIN_PROBLEMS, builtin_problem, problem_from_spec
 
 __version__ = "0.1.0"

@@ -85,8 +85,6 @@ class DecayProbe:
 def _reference_values(reference, x):
     if reference is None:
         raise ValueError("error measurement requires a reference solution")
-    if isinstance(reference, DiscreteSolution):
-        return evaluate_solution(reference, x)
     if hasattr(reference, "u") and hasattr(reference, "du"):
         return np.asarray(reference.u(x)), np.asarray(reference.du(x))
     if isinstance(reference, tuple) and len(reference) == 2:
@@ -95,18 +93,14 @@ def _reference_values(reference, x):
 
 
 def error_norms(sol: DiscreteSolution, reference, gamma: float | None = None) -> ErrorPair:
-    """L2 and H1-seminorm errors of sol against a reference.
+    """L2 and H1-seminorm errors of sol against an exact solution.
 
-    Gauss quadrature on every cell of the union of sol's breakpoints (and
-    the reference's, when it is discrete) plus gamma, so each cell holds
-    one polynomial piece of every basis function and one side of gamma.
+    The reference is a problem (or any object with u and du methods) or a
+    pair of callables (u, u').  Gauss quadrature on every cell of the union
+    of sol's breakpoints plus gamma, so each cell holds one polynomial
+    piece of every basis function and one side of gamma.
     """
-    if gamma is None:
-        gamma = sol.basis.gamma
-    bases = [sol.basis]
-    if isinstance(reference, DiscreteSolution):
-        bases.append(reference.basis)
-    x, w = _gauss_mesh(bases, gamma)
+    x, w = _gauss_mesh(sol.basis, sol.basis.gamma if gamma is None else gamma)
     ur, dur = _reference_values(reference, x)
     uj, duj = evaluate_solution(sol, x)
     e_l2 = math.sqrt(float(np.dot(w, (uj - ur) ** 2)))

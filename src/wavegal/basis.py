@@ -9,7 +9,6 @@ levels J+1 up to (2m-2)J - 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,16 +24,6 @@ __all__ = [
     "interface_set",
     "enriched_basis",
 ]
-
-KINDS = (
-    "scaling-left",
-    "scaling-interior",
-    "scaling-right",
-    "wavelet-left",
-    "wavelet-interior",
-    "wavelet-right",
-)
-
 
 @dataclass(frozen=True)
 class BasisFunction:
@@ -118,20 +107,15 @@ class EnrichedBasis:
     def N(self) -> int:
         return len(self.functions)
 
-    def to_csv(self, path) -> None:
-        """Write a per-function summary (debugging aid)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["level", "kind", "k", "component", "supp_lo", "supp_hi", "dual_lo", "dual_hi"])
-            for bf in self.functions:
-                s, d = bf.support, bf.dual_support
-                w.writerow(
-                    [bf.j, bf.kind, bf.k, bf.component,
-                     float(s.lo), float(s.hi), float(d.lo), float(d.hi)]
-                )
 
-
-def _assemble(sys, J0, J, gamma, blocks) -> EnrichedBasis:
+def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
+    """Scaling level J0, wavelet levels J0..J and the interface sets of
+    levels J+1..top, in that order."""
+    if J < J0:
+        raise ValueError(f"J={J} must be >= J0={J0}")
+    blocks = [(J0, build_phi_level(sys, J0))]
+    blocks += [(j, build_psi_level(sys, j)) for j in range(J0, J + 1)]
+    blocks += [(j, interface_set(sys, j, gamma)) for j in range(J + 1, top + 1)]
     funcs = []
     counts = {}
     for level, block in blocks:
@@ -148,12 +132,7 @@ def truncated_basis(sys: WaveletSystem, J0: int, J: int) -> EnrichedBasis:
     Spans the same space as the scaling functions at level J+1, so this
     is the multilevel re-expression of a standard FEM space.
     """
-    if J < J0:
-        raise ValueError(f"J={J} must be >= J0={J0}")
-    blocks = [(J0, build_phi_level(sys, J0))]
-    for j in range(J0, J + 1):
-        blocks.append((j, build_psi_level(sys, j)))
-    return _assemble(sys, J0, J, None, blocks)
+    return _assemble(sys, J0, J, None, J)
 
 
 def interface_set(sys: WaveletSystem, j: int, gamma: float) -> list:
@@ -194,14 +173,6 @@ def interface_set(sys: WaveletSystem, j: int, gamma: float) -> list:
 
 def enriched_basis(sys: WaveletSystem, J0: int, J: int, gamma: float) -> EnrichedBasis:
     """The truncated basis plus interface sets for levels J+1..(2m-2)J-1."""
-    if J < J0:
-        raise ValueError(f"J={J} must be >= J0={J0}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
-    blocks = [(J0, build_phi_level(sys, J0))]
-    for j in range(J0, J + 1):
-        blocks.append((j, build_psi_level(sys, j)))
-    top = (2 * sys.m - 2) * J - 1
-    for j in range(J + 1, top + 1):
-        blocks.append((j, interface_set(sys, j, gamma)))
-    return _assemble(sys, J0, J, gamma, blocks)
+    return _assemble(sys, J0, J, gamma, (2 * sys.m - 2) * J - 1)

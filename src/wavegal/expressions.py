@@ -21,7 +21,7 @@ from sympy.parsing.sympy_parser import (
     standard_transformations,
 )
 
-__all__ = ["Expression", "ExpressionError", "parse_expression", "expression_eval"]
+__all__ = ["Expression", "ExpressionError", "parse_expression"]
 
 _X = sp.Symbol("x")
 _TRANSFORMS = standard_transformations + (convert_xor,)
@@ -103,8 +103,3 @@ def parse_expression(text: str, constants: dict | None = None) -> Expression:
         names = ", ".join(sorted(str(s) for s in stray))
         raise ExpressionError(f"unknown symbol(s) in {text!r}: {names}")
     return Expression(tree, text)
-
-
-def expression_eval(text: str, x: float, constants: dict | None = None) -> float:
-    """Parse and evaluate an expression at a single point."""
-    return parse_expression(text, constants)(x)

@@ -149,16 +149,17 @@ def _tables(basis):
     return breaks, coeffs, first
 
 
-def _point_operator(basis, x):
+def _point_operator(basis, x, gamma):
     """Sparse len(x) x N matrices (V, D) of basis values and derivatives at x.
 
     Each function follows `PiecewisePolynomial.evaluate_array`: the left
     limit at interior breakpoints and at the right end of its support, the
     right limit at its left end, and zero outside the support.  The one
-    exception is the largest float below the basis's gamma: when gamma
+    exception is the largest float below gamma (None for none): when gamma
     lies one ulp right of a breakpoint, that breakpoint is the only point
     of the cell between the two, and `_gauss_mesh` puts the cell's nodes
-    there, so it takes the right limit.
+    there, so it takes the right limit.  Pass the gamma the mesh was split
+    at, whether or not the basis was enriched at it.
     """
     x = np.asarray(x, dtype=float)
     breaks, coeffs, first = _tables(basis)
@@ -178,8 +179,8 @@ def _point_operator(basis, x):
     for k in range(1, width - 1):  # breakpoints strictly below x, past the first
         piece += breaks[f, k] < xp
     past_end = []  # entries stepped past the right end of their support
-    if basis.gamma is not None:
-        edge = np.nextafter(basis.gamma, -np.inf)
+    if gamma is not None:
+        edge = np.nextafter(gamma, -np.inf)
         i = np.searchsorted(xs, edge)
         if i < len(xs) and xs[i] == edge:
             step = (xp == edge) & (breaks[f, piece + 1] == edge)
@@ -201,10 +202,10 @@ def _point_operator(basis, x):
     return V, D
 
 
-def _gauss_mesh(bases, gamma=None):
+def _gauss_mesh(basis, gamma=None):
     """QUAD_NODES Gauss nodes and weights on every cell of the union of the
-    breakpoints of all functions in `bases`, plus gamma when given."""
-    pts = [bf.primal._float_cache()[0] for basis in bases for bf in basis]
+    breakpoints of all functions in `basis`, plus gamma when given."""
+    pts = [bf.primal._float_cache()[0] for bf in basis]
     if gamma is not None:
         pts.append([gamma])
     edges = np.unique(np.concatenate(pts))
@@ -220,8 +221,8 @@ def _gauss_mesh(bases, gamma=None):
 
 def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy.sparse.csr_matrix:
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
-    x, w = _gauss_mesh([basis], problem.gamma)
-    _, D = _point_operator(basis, x)
+    x, w = _gauss_mesh(basis, problem.gamma)
+    _, D = _point_operator(basis, x, problem.gamma)
     # A = D^T diag(w a) D, formed as S^T S so that it is exactly symmetric
     S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
     return (S.T @ S).tocsr()
@@ -229,9 +230,9 @@ def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
     """Load vector b[i] = int f eta_i - g_gamma eta_i(gamma)."""
-    x, w = _gauss_mesh([basis], problem.gamma)
-    V, _ = _point_operator(basis, x)
-    Vg, _ = _point_operator(basis, [problem.gamma])
+    x, w = _gauss_mesh(basis, problem.gamma)
+    V, _ = _point_operator(basis, x, problem.gamma)
+    Vg, _ = _point_operator(basis, [problem.gamma], problem.gamma)
     return V.T @ (w * problem.f(x)) - Vg.T @ np.array([problem.g_gamma])
 
 
@@ -327,7 +328,7 @@ def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarr
     x = np.asarray(grid, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation grid must lie in [0, 1]")
-    V, D = _point_operator(sol.basis, x)
+    V, D = _point_operator(sol.basis, x, sol.basis.gamma)
     return V @ sol.coefficients, D @ sol.coefficients
 
 

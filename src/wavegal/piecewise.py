@@ -337,9 +337,6 @@ class PiecewisePolynomial:
         ]
         return PiecewisePolynomial(breaks, pieces)
 
-    def l2_norm_sq(self):
-        return inner_product(self, self)
-
     def __repr__(self) -> str:
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
         return (

@@ -6,19 +6,23 @@ Three ready-made problems are provided:
   solution (x e^x on the left, a quintic on the right), no Dirac load.
 - ``ex2``: constant jump a+ = 2e4 at gamma = sqrt(2)/2 with a nonzero
   Dirac weight at the interface.
-- ``ex3``: variable coefficient a+ = 1000 e^x, f = 1, exact solution
-  unknown (errors are measured against a fine reference solve).
+- ``ex3``: variable coefficient a+ = 1000 e^x, f = 1, no closed form.
 
 Whenever an exact solution is given and no source term is, f is
-manufactured symbolically as -(a u')' on each subdomain.
+manufactured symbolically as -(a u')' on each subdomain.  Whenever the
+sources are given and no exact solution is, u is built by quadrature of
+the flux a u' = C - int_0^x f + g [x > gamma], with C fixed by u(1) = 0,
+so every problem has an exact u to measure errors against.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import sympy as sp
 
 from .expressions import Expression, ExpressionError, parse_expression
 from .galerkin import ExactSolution, InterfaceProblem
+from .piecewise import gauss_rule
 
 __all__ = ["BUILTIN_PROBLEMS", "builtin_problem", "problem_from_spec"]
 
@@ -86,12 +90,66 @@ def _manufactured_source(a: Expression, u: Expression) -> Expression:
     return Expression(sp.expand(-sp.diff(a.tree * sp.diff(u.tree, _X), _X)))
 
 
+# flux quadrature: mesh cells per side of gamma, Gauss nodes per cell (and
+# per sub-interval of the nested rule for F), query points per block
+_FLUX_CELLS, _FLUX_NODES, _FLUX_BLOCK = 32, 10, 4096
+
+
+class _FluxSide:
+    """u and u' on one side of gamma from the flux a u' = C - F~, where
+    F~ = int_0^x f - g [x > gamma]: u = C P - Q with P = int 1/a and
+    Q = int F~/a, cumulated on a fixed mesh from the side's left end and
+    completed from the mesh node at or before each query point.  C is set
+    once both sides are cumulated."""
+
+    def __init__(self, a, f, lo, hi, F0):
+        self.a, self.f, self.x = a, f, np.linspace(lo, hi, _FLUX_CELLS + 1)
+        dF, dP, G = self._steps(self.x[:-1], self.x[1:])
+        self.F = F0 + np.concatenate([[0.0], np.cumsum(dF)])
+        self.P = np.concatenate([[0.0], np.cumsum(dP)])
+        self.Q = np.concatenate([[0.0], np.cumsum(self.F[:-1] * dP + G)])
+
+    def _steps(self, lo, x):
+        """int_lo^x of f, of 1/a and of (int_lo^s f) / a ds, elementwise."""
+        t, w = gauss_rule(_FLUX_NODES)
+        h = (x - lo)[:, None] * t
+        F = h * (w * self.f(lo[:, None, None] + h[..., None] * t)).sum(-1)
+        s, hw = lo[:, None] + h, (x - lo)[:, None] * w
+        return (hw * self.f(s)).sum(-1), (hw / self.a(s)).sum(-1), (hw * F / self.a(s)).sum(-1)
+
+    def __call__(self, x):
+        """(u, u') at x."""
+        x = np.asarray(x, dtype=float)
+        out = []
+        for xs in np.array_split(x.ravel(), x.size // _FLUX_BLOCK + 1):
+            k = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, _FLUX_CELLS - 1)
+            dF, dP, G = self._steps(self.x[k], xs)
+            P, Q = self.P[k] + dP, self.Q[k] + self.F[k] * dP + G
+            out.append((self.C * P - Q, (self.C - self.F[k] - dF) / self.a(xs)))
+        return np.concatenate(out, axis=1).reshape((2,) + x.shape)
+
+
+def _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma) -> ExactSolution:
+    """The exact solution of a problem given by its sources, by quadrature.
+
+    P and Q vanish at 0 on the left side and at 1 on the right, so u meets
+    both boundary conditions and neither side carries the other's
+    magnitude; C makes u continuous at gamma."""
+    left = _FluxSide(a_minus, f_minus, 0.0, gamma, 0.0)
+    right = _FluxSide(a_plus, f_plus, gamma, 1.0, left.F[-1] - g_gamma)
+    right.P, right.Q = right.P - right.P[-1], right.Q - right.Q[-1]
+    left.C = right.C = (left.Q[-1] - right.Q[0]) / (left.P[-1] - right.P[0])
+    return ExactSolution(lambda x: left(x)[0], lambda x: right(x)[0],
+                         lambda x: left(x)[1], lambda x: right(x)[1])
+
+
 def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
     """Build an InterfaceProblem from an expression-level description.
 
     Required keys: gamma, a_minus, a_plus, g_gamma.  Either both sources
     (f_minus, f_plus) or both exact solutions (u_minus, u_plus) must be
-    present; missing sources are manufactured from the exact solution.
+    present.  Missing sources are manufactured from the exact solution,
+    and a missing exact solution is built by quadrature of the flux.
     """
     constants = dict(spec.get("constants", {}))
     gamma = _const_value(spec["gamma"], constants)
@@ -115,6 +173,8 @@ def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
         f_plus = _manufactured_source(a_plus, exact.u_plus)
     else:
         raise ExpressionError("spec needs sources f_minus/f_plus or an exact solution")
+    if exact is None:
+        exact = _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma)
 
     return InterfaceProblem(
         gamma=gamma,

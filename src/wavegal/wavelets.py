@@ -59,9 +59,6 @@ class VerificationReport:
     checks: dict  # name -> residual
     tol: float = VERIFICATION_TOL
 
-    def passed(self, name: str) -> bool:
-        return self.checks[name] <= self.tol
-
     @property
     def all_passed(self) -> bool:
         return all(r <= self.tol for r in self.checks.values())
@@ -226,31 +223,28 @@ def builtin_order2_system() -> WaveletSystem:
     phi_left = phi.translate(1)  # hat on [0, 2]
     psi_left = psi
 
-    def shifted(p, k):
-        return p.translate(k)
-
     deg = 1
-    cons = [(shifted(phi, k), zero) for k in (-1, 0, 1, 2)]
-    cons += [(shifted(psi, k), one if k == 0 else zero) for k in (-1, 0, 1)]
+    cons = [(phi.translate(k), zero) for k in (-1, 0, 1, 2)]
+    cons += [(psi.translate(k), one if k == 0 else zero) for k in (-1, 0, 1)]
     psi_dual = _build_dual(_halfgrid(-1, 2), deg, cons)
 
-    cons = [(shifted(phi, k), one if k == 0 else zero) for k in (-2, -1, 0, 1, 2)]
-    cons += [(shifted(psi, k), zero) for k in (-2, -1, 0, 1)]
+    cons = [(phi.translate(k), one if k == 0 else zero) for k in (-2, -1, 0, 1, 2)]
+    cons += [(psi.translate(k), zero) for k in (-2, -1, 0, 1)]
     phi_dual = _build_dual(_halfgrid(-2, 2), deg, cons)
 
     cons = [
         (phi_left, zero),
-        (shifted(phi, 2), zero),
+        (phi.translate(2), zero),
         (psi_left, one),
-        (shifted(psi, 1), zero),
+        (psi.translate(1), zero),
     ]
     psi_left_dual = _build_dual(_halfgrid(0, 2), deg, cons)
 
     cons = [
         (phi_left, one),
-        (shifted(phi, 2), zero),
+        (phi.translate(2), zero),
         (psi_left, zero),
-        (shifted(psi, 1), zero),
+        (psi.translate(1), zero),
     ]
     phi_left_dual = _build_dual(_halfgrid(0, 2), deg, cons)
 
@@ -365,14 +359,6 @@ def verify_boundary_moments(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -
             res = max(res, abs(float(f.moment(d, 1))))
     checks["moments-boundary"] = res
     return VerificationReport(checks, tol)
-
-
-def boundary_zeroth_moments(sys: WaveletSystem) -> dict:
-    """Zeroth moments of the boundary dual wavelets (reported, not constrained)."""
-    return {
-        "left": [float(f.moment(0, 0)) for f in sys.psi_left_dual],
-        "right": [float(f.moment(0, 1)) for f in sys.psi_right_dual],
-    }
 
 
 def _interior_moment_residual(sys: WaveletSystem) -> float:

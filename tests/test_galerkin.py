@@ -190,6 +190,15 @@ class TestAgainstPairwiseQuadrature:
         # a cell one ulp wide left of gamma is read from its breakpoint's right
         assert_matches_reference(enriched_basis(sys2, 2, 3, gamma), p)
 
+    def test_truncated_basis_one_ulp_right_of_breakpoint(self, sys2):
+        # a truncated basis has no gamma of its own: the one-ulp cell
+        # [1/2, gamma] is read at the gamma the mesh was split at
+        basis = truncated_basis(sys2, 2, 4)
+        p = plain_problem(gamma=0.5 + 2.0**-53, ap=1e-3)
+        A = assemble_stiffness(basis, p).toarray()
+        apart = np.array([[not f.support.intersects(h.support) for h in basis] for f in basis])
+        assert apart.any() and np.all(A[apart] == 0.0)
+
 
 class TestLoad:
     def test_point_load_only(self, sys2):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavegal.expressions import (
     Expression,
     ExpressionError,
-    expression_eval,
     parse_expression,
 )
 from wavegal.problems import BUILTIN_PROBLEMS, builtin_problem, problem_from_spec
@@ -16,15 +17,15 @@ from wavegal.problems import BUILTIN_PROBLEMS, builtin_problem, problem_from_spe
 
 class TestExpressions:
     def test_basic_values(self):
-        assert expression_eval("x*exp(x)", 1.0) == pytest.approx(math.e, rel=1e-14)
-        assert expression_eval("sin(1-x)", 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert expression_eval("pi/6", 0.0) == pytest.approx(math.pi / 6, rel=1e-14)
+        assert parse_expression("x*exp(x)")(1.0) == pytest.approx(math.e, rel=1e-14)
+        assert parse_expression("sin(1-x)")(1.0) == pytest.approx(0.0, abs=1e-15)
+        assert parse_expression("pi/6")(0.0) == pytest.approx(math.pi / 6, rel=1e-14)
 
     def test_caret_is_power(self):
-        assert expression_eval("x^3 + 2", 2.0) == pytest.approx(10.0)
+        assert parse_expression("x^3 + 2")(2.0) == pytest.approx(10.0)
 
     def test_constants_substituted(self):
-        assert expression_eval("A*x + G", 2.0, {"A": 3, "G": 0.5}) == pytest.approx(6.5)
+        assert parse_expression("A*x + G", {"A": 3, "G": 0.5})(2.0) == pytest.approx(6.5)
 
     def test_array_evaluation(self):
         f = parse_expression("x^2")
@@ -124,8 +125,11 @@ class TestBuiltinProblems:
             assert f == pytest.approx(fd, rel=1e-6, abs=1e-4 * max(1.0, abs(fd)))
 
     def test_ex3_has_no_exact_solution(self):
+        # no closed form is given, so u comes from the flux quadrature
+        assert "u_minus" not in BUILTIN_PROBLEMS["ex3"]
         p = builtin_problem("ex3")
-        assert p.exact is None
+        assert p.exact is not None
+        assert p.u(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0], abs=1e-15)
         assert p.f(np.array([0.2, 0.8])) == pytest.approx([1.0, 1.0])
         assert p.a(np.array([0.9]))[0] == pytest.approx(1000 * math.exp(0.9))
 
@@ -179,3 +183,75 @@ class TestProblemFromSpec:
         # -(u')' = 2 for u = x(1-x)
         assert p.f(np.array([0.2, 0.8])) == pytest.approx([2.0, 2.0])
         assert p.name == "smooth"
+
+
+def ex3_closed_form():
+    """ex3's u and u' per side, from its flux a u' = C - x.
+
+    Left (a = 1): u = C x - x^2/2.  Right (a = 1000 e^x), integrating
+    (C - t) e^-t / 1000 back from u(1) = 0:
+    u = ((x - C + 1) e^-x - (2 - C) e^-1) / 1000.  C makes u continuous."""
+    G, e1 = math.pi / 6, math.exp(-1.0)
+    eg = math.exp(-G)
+    C = (G * G / 2 + ((G + 1) * eg - 2 * e1) / 1000) / (G - (e1 - eg) / 1000)
+    u = (lambda x: C * x - x * x / 2, lambda x: ((x - C + 1) * np.exp(-x) - (2 - C) * e1) / 1000)
+    du = (lambda x: C - x, lambda x: (C - x) * np.exp(-x) / 1000)
+    return u, du
+
+
+def assert_sides_match(p, u, du, rtol):
+    """The problem's exact u and u' against (left, right) pairs of callables,
+    relative to the largest value on each side."""
+    sides = (p.exact.u_minus, p.exact.u_plus), (p.exact.du_minus, p.exact.du_plus)
+    for i, (lo, hi) in enumerate(((0.0, p.gamma), (p.gamma, 1.0))):
+        x = np.linspace(lo, hi, 1001)
+        for got, want in ((sides[0][i], u[i]), (sides[1][i], du[i])):
+            ref = want(x)
+            assert np.abs(got(x) - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestFluxQuadrature:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2"])
+    def test_matches_closed_forms(self, pid):
+        # the same problem given by its sources only
+        closed = builtin_problem(pid)
+        spec = {k: v for k, v in BUILTIN_PROBLEMS[pid].items() if k not in ("u_minus", "u_plus")}
+        spec.update(f_minus=closed.f_minus.text, f_plus=closed.f_plus.text)
+        p = problem_from_spec(spec)
+        e = closed.exact
+        assert_sides_match(p, (e.u_minus, e.u_plus), (e.du_minus, e.du_plus), rtol=1e-12)
+
+    def test_ex3_matches_flux_closed_form(self):
+        assert_sides_match(builtin_problem("ex3"), *ex3_closed_form(), rtol=1e-12)
+
+    def test_scalar_and_array_queries(self):
+        p = builtin_problem("ex3")
+        x = np.linspace(0.0, p.gamma, 12).reshape(3, 4)
+        assert p.exact.u_minus(x).shape == (3, 4)
+        assert float(p.exact.u_minus(x[1, 2])) == p.exact.u_minus(x)[1, 2]
+
+    @settings(max_examples=20, deadline=None)
+    @given(gamma=st.floats(1e-3, 1 - 1e-3), contrast=st.floats(1e-3, 1e6), g=st.floats(-10.0, 10.0))
+    def test_solves_the_interface_problem(self, gamma, contrast, g):
+        p = problem_from_spec(
+            {
+                "gamma": "G",
+                "a_minus": "1 + x",
+                "a_plus": "A*exp(x)",
+                "f_minus": "cos(3*x)",
+                "f_plus": "1 + x^2",
+                "g_gamma": "W",
+                "constants": {"G": gamma, "A": contrast, "W": g},
+            }
+        )
+        e = p.exact
+        scale = np.abs(p.u(np.linspace(0.0, 1.0, 201))).max()
+        assert abs(e.u_minus(0.0)) <= 1e-12 * scale and abs(e.u_plus(1.0)) <= 1e-12 * scale
+        assert abs(e.u_minus(gamma) - e.u_plus(gamma)) <= 1e-12 * scale
+        jump = p.a_plus(gamma) * e.du_plus(gamma) - p.a_minus(gamma) * e.du_minus(gamma)
+        assert jump == pytest.approx(g, abs=1e-12 * max(1.0, abs(g)))
+        # -(a u')' = f by central differences inside each side
+        for lo, hi, a, du in ((0.0, gamma, p.a_minus, e.du_minus), (gamma, 1.0, p.a_plus, e.du_plus)):
+            x, h = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo), 1e-4 * (hi - lo)
+            fd = -(a(x + h) * du(x + h) - a(x - h) * du(x - h)) / (2 * h)
+            assert fd == pytest.approx(p.f(x), rel=1e-6, abs=1e-6)

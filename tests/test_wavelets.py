@@ -9,7 +9,6 @@ from wavegal.piecewise import PiecewisePolynomial, inner_product
 from wavegal.wavelets import (
     SystemFormatError,
     SystemVerificationError,
-    boundary_zeroth_moments,
     builtin_order2_system,
     dual_antiderivative_ladder,
     full_verification,
@@ -50,9 +49,10 @@ class TestBuiltinSystem:
         assert sys2.psi_right_dual[0].moment(1, 1) == Fraction(0)
 
     def test_boundary_dual_zeroth_moment_may_be_nonzero(self, sys2):
-        m0 = boundary_zeroth_moments(sys2)
-        assert abs(m0["left"][0]) > 0.1  # genuinely nonzero, and that is fine
-        assert m0["right"][0] == pytest.approx(m0["left"][0], abs=1e-12)  # mirror
+        left = float(sys2.psi_left_dual[0].moment(0, 0))
+        right = float(sys2.psi_right_dual[0].moment(0, 1))
+        assert abs(left) > 0.1  # genuinely nonzero, and that is fine
+        assert right == pytest.approx(left, abs=1e-12)  # mirror
 
     def test_right_families_are_mirrors(self, sys2):
         import numpy as np
