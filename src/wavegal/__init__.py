@@ -23,8 +23,6 @@ from .wavelets import (
 from .basis import (
     BasisFunction,
     EnrichedBasis,
-    build_phi_level,
-    build_psi_level,
     enriched_basis,
     interface_set,
     truncated_basis,

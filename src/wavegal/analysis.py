@@ -241,14 +241,8 @@ def _level_families(sys: WaveletSystem, j: int, gamma: float):
         t0 = min(max(math.ceil(t - hi), ks.start), ks.stop)
         t1 = min(max(math.floor(t - lo) + 1, t0), ks.stop)
         interior.append((pp, (range(ks.start, t0), range(t1, ks.stop)), range(t0, t1)))
-    boundary = []
-    for pp in sys.psi_left_dual:
-        sup = pp.dyadic_transform(j, 0).support
-        boundary.append((pp, 0, sup.contains(gamma)))
-    for pp in sys.psi_right_dual:
-        k = 2**j - 1
-        sup = pp.dyadic_transform(j, k).support
-        boundary.append((pp, k, sup.contains(gamma)))
+    boundary = [(pp, k, (pp.support.lo + k) / 2**j <= gamma <= (pp.support.hi + k) / 2**j)
+                for pps, k in ((sys.psi_left_dual, 0), (sys.psi_right_dual, 2**j - 1)) for pp in pps]
     return interior, boundary
 
 

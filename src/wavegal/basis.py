@@ -5,21 +5,28 @@ plus wavelet levels J0..J, all rescaled by 2^-j so the stiffness matrix
 is well conditioned.  Near the interface the space is enriched with the
 finer wavelets whose *dual* supports contain the interface point, for
 levels J+1 up to (2m-2)J - 1.
+
+Each function is one member of a primal family at level j and translate
+k, so a basis is four int arrays (family, component, j, k) plus float
+tables gathered in one step from the system's per-family tables, equal to
+the floats of `dyadic_transform(j, k).scale(2^-j)`.  `basis[i]` builds
+function i exactly on access, for verification, and does not cache it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .piecewise import Interval, PiecewisePolynomial
-from .wavelets import WaveletSystem
+from .wavelets import FAMILIES, WaveletSystem
 
 __all__ = [
     "BasisFunction",
     "EnrichedBasis",
-    "build_phi_level",
-    "build_psi_level",
     "truncated_basis",
     "interface_set",
     "enriched_basis",
@@ -48,64 +55,71 @@ def _make(sys: WaveletSystem, kind: str, side: str, j: int, k: int, comp: int) -
     prim = sys.family(kind, side, dual=False)[comp]
     dual = sys.family(kind, side, dual=True)[comp]
     pp = prim.dyadic_transform(j, k).scale(Fraction(1, 2**j))
-    dsup = dual.dyadic_transform(j, k).support
-    return BasisFunction(
-        j=j,
-        k=k,
-        kind=f"{kind}-{side}",
-        component=comp,
-        primal=pp,
-        dual_support=dsup,
-    )
+    return BasisFunction(j, k, f"{kind}-{side}", comp, pp, dual.dyadic_transform(j, k).support)
 
 
-def _build_level(sys: WaveletSystem, kind: str, j: int) -> list:
+def _level(sys: WaveletSystem, kind: str, j: int) -> np.ndarray:
+    """Rows (family, component, j, k) of the level-j scaling or wavelet set:
+    left family, interior translates, right family."""
     if j < sys.J0:
         raise ValueError(f"level {j} below coarsest admissible level J0={sys.J0}")
-    out = []
-    for comp in range(len(sys.family(kind, "left"))):
-        out.append(_make(sys, kind, "left", j, 0, comp))
-    for k in sys.interior_range(kind, j):
-        for comp in range(sys.r):
-            out.append(_make(sys, kind, "interior", j, k, comp))
-    for comp in range(len(sys.family(kind, "right"))):
-        out.append(_make(sys, kind, "right", j, 2**j - 1, comp))
-    return out
+    r, ks = sys.r, sys.interior_range(kind, j)
+    nl, nr = len(sys.family(kind, "left")), len(sys.family(kind, "right"))
+    left, interior, right = (FAMILIES.index((kind, side)) for side in ("left", "interior", "right"))
+    return np.stack([
+        np.repeat([left, interior, right], [nl, len(ks) * r, nr]),
+        np.concatenate([np.arange(nl), np.tile(np.arange(r), len(ks)), np.arange(nr)]),
+        np.full(nl + len(ks) * r + nr, j),
+        np.concatenate([np.zeros(nl, int), np.repeat(np.arange(ks.start, ks.stop), r),
+                        np.full(nr, 2**j - 1)]),
+    ], axis=1)
 
 
-def build_phi_level(sys: WaveletSystem, j: int) -> list:
-    """The level-j scaling set: left family, interior translates, right family."""
-    return _build_level(sys, "scaling", j)
-
-
-def build_psi_level(sys: WaveletSystem, j: int) -> list:
-    """The level-j wavelet set, ordered left / interior / right."""
-    return _build_level(sys, "wavelet", j)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnrichedBasis:
-    """An ordered, reproducible collection of basis functions."""
+    """An ordered, reproducible collection of basis functions.
 
-    functions: tuple
+    Function i is member component[i] of family FAMILIES[family[i]] at
+    level j[i] and translate k[i].  Its float tables are breaks[i], padded
+    with +inf, and coeffs[i], the local monomial coefficients of each piece
+    (pieces x degree+1), padded with 0.
+    """
+
+    sys: WaveletSystem
+    family: np.ndarray
+    component: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
     J0: int
     J: int
-    m: int
     gamma: float | None
     level_counts: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # breakpoints (b + k) 2^-j and coefficients fl(c_n amp_j) 2^(j(n-1)),
+        # with amp_j = 2^(j/2) rounded as dyadic_transform rounds it
+        first, breaks, coeffs = self.sys.float_tables
+        row, j = first[self.family] + self.component, self.j[:, None]
+        levels, at = np.unique(self.j, return_inverse=True)
+        amp = np.array([math.sqrt(2.0) ** v if v % 2 else 2.0 ** (v // 2) for v in levels.tolist()])
+        n = np.arange(coeffs.shape[2])
+        object.__setattr__(self, "breaks", np.ldexp(breaks[row] + self.k[:, None], -j))
+        object.__setattr__(self, "coeffs", np.ldexp(coeffs[row] * amp[at, None, None], (j * (n - 1))[:, None]))
+
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self.j)
+
+    def __getitem__(self, i) -> BasisFunction:
+        """Function i with its exact polynomial, built on access."""
+        kind, side = FAMILIES[self.family[i]]
+        return _make(self.sys, kind, side, int(self.j[i]), int(self.k[i]), int(self.component[i]))
 
     def __iter__(self):
-        return iter(self.functions)
-
-    def __getitem__(self, i):
-        return self.functions[i]
+        return map(self.__getitem__, range(len(self)))
 
     @property
     def N(self) -> int:
-        return len(self.functions)
+        return len(self)
 
 
 def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
@@ -113,17 +127,14 @@ def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
     levels J+1..top, in that order."""
     if J < J0:
         raise ValueError(f"J={J} must be >= J0={J0}")
-    blocks = [(J0, build_phi_level(sys, J0))]
-    blocks += [(j, build_psi_level(sys, j)) for j in range(J0, J + 1)]
+    blocks = [(J0, _level(sys, "scaling", J0))]
+    blocks += [(j, _level(sys, "wavelet", j)) for j in range(J0, J + 1)]
     blocks += [(j, interface_set(sys, j, gamma)) for j in range(J + 1, top + 1)]
-    funcs = []
     counts = {}
     for level, block in blocks:
-        funcs.extend(block)
         counts[level] = counts.get(level, 0) + len(block)
-    return EnrichedBasis(
-        functions=tuple(funcs), J0=J0, J=J, m=sys.m, gamma=gamma, level_counts=counts
-    )
+    rows = np.concatenate([block for _, block in blocks])
+    return EnrichedBasis(sys, *rows.T, J0=J0, J=J, gamma=gamma, level_counts=counts)
 
 
 def truncated_basis(sys: WaveletSystem, J0: int, J: int) -> EnrichedBasis:
@@ -135,40 +146,32 @@ def truncated_basis(sys: WaveletSystem, J0: int, J: int) -> EnrichedBasis:
     return _assemble(sys, J0, J, None, J)
 
 
-def interface_set(sys: WaveletSystem, j: int, gamma: float) -> list:
-    """Level-j wavelets whose dual support contains the interface point.
+def interface_set(sys: WaveletSystem, j: int, gamma: float) -> np.ndarray:
+    """Level-j wavelets whose dual support contains the interface point, as
+    rows (family, component, j, k) in basis order.
 
-    Membership is tested against the closed dual support, inclusive at
-    endpoints: if gamma lands exactly on a shared dyadic endpoint, both
-    neighbors qualify.  Only the O(1) candidate translates near gamma
-    are materialized, so this stays cheap at the deep enrichment levels.
+    Membership is tested exactly against the closed dual support
+    [(lo + k) 2^-j, (hi + k) 2^-j], inclusive at endpoints: if gamma lands
+    exactly on a shared dyadic endpoint, both neighbors qualify.  Only the
+    boundary functions and the O(1) interior translates near gamma are
+    tested, so this stays cheap at the deep enrichment levels.
     """
-    import math
-
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
-    out = []
-    for comp in range(len(sys.family("wavelet", "left"))):
-        bf = _make(sys, "wavelet", "left", j, 0, comp)
-        if bf.dual_support.contains(gamma):
-            out.append(bf)
-    t = gamma * 2**j
-    krange = sys.interior_range("wavelet", j)
-    cands = []
-    for comp, pp in enumerate(sys.family("wavelet", "interior", dual=True)):
-        lo, hi = float(pp.support.lo), float(pp.support.hi)
-        kmin = max(krange.start, math.floor(t - hi) - 1)
-        kmax = min(krange.stop - 1, math.ceil(t - lo) + 1)
-        cands.extend((k, comp) for k in range(kmin, kmax + 1))
-    for k, comp in sorted(cands):
-        bf = _make(sys, "wavelet", "interior", j, k, comp)
-        if bf.dual_support.contains(gamma):
-            out.append(bf)
-    for comp in range(len(sys.family("wavelet", "right"))):
-        bf = _make(sys, "wavelet", "right", j, 2**j - 1, comp)
-        if bf.dual_support.contains(gamma):
-            out.append(bf)
-    return out
+    # interior candidates: translates near 2^j gamma, a superset of the members
+    t, ks = gamma * 2**j, sys.interior_range("wavelet", j)
+    lo = min(float(pp.support.lo) for pp in sys.psi_dual)
+    hi = max(float(pp.support.hi) for pp in sys.psi_dual)
+    near = range(max(ks.start, math.floor(t - hi) - 1), min(ks.stop, math.ceil(t - lo) + 2))
+    cands = [("left", comp, 0) for comp in range(len(sys.psi_left_dual))]
+    cands += [("interior", comp, k) for k in near for comp in range(sys.r)]
+    cands += [("right", comp, 2**j - 1) for comp in range(len(sys.psi_right_dual))]
+    rows = []
+    for side, comp, k in cands:
+        sup = sys.family("wavelet", side, dual=True)[comp].support
+        if (sup.lo + k) / 2**j <= gamma <= (sup.hi + k) / 2**j:
+            rows.append((FAMILIES.index(("wavelet", side)), comp, j, k))
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
 
 def enriched_basis(sys: WaveletSystem, J0: int, J: int, gamma: float) -> EnrichedBasis:

@@ -9,7 +9,10 @@ its cells every basis function is a single polynomial and a, f are
 smooth, so a QUAD_NODES-point Gauss rule per cell is exact for the
 polynomial part.  One sparse point operator (basis values and
 derivatives at the Gauss nodes) gives the stiffness matrix, the load
-vector and the evaluation of discrete solutions.
+vector and the evaluation of discrete solutions.  It reads the basis's
+float tables (`EnrichedBasis.breaks` and `coeffs`, gathered from the
+system's per-family tables), never the exact polynomials that
+`basis[i]` builds on access.
 """
 
 from __future__ import annotations
@@ -63,12 +66,14 @@ class ExactSolution:
 def _piecewise_call(fm: Callable, fp: Callable, gamma: float, x: np.ndarray) -> np.ndarray:
     """Evaluate fm on x < gamma and fp on x >= gamma without mixing domains."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     neg = x < gamma
-    if neg.any():
-        out[neg] = fm(x[neg])
-    if (~neg).any():
-        out[~neg] = fp(x[~neg])
+    n = np.count_nonzero(neg)
+    if n in (0, x.size):  # one side only: call it on x itself, no masked copies
+        out = np.asarray((fm if n else fp)(x), dtype=float)
+        return out if out.shape == x.shape else np.full(x.shape, out)
+    out = np.empty_like(x)
+    out[neg] = fm(x[neg])
+    out[~neg] = fp(x[~neg])
     return out
 
 
@@ -131,24 +136,6 @@ class DiscreteSolution:
             raise ValueError("coefficient count does not match basis size")
 
 
-def _tables(basis):
-    """Float tables of every basis function, padded to common widths.
-
-    Returns (breaks, coeffs, first): breakpoints per function padded with
-    +inf, the local monomial coefficients of all pieces stacked and padded
-    with zeros to the highest degree, and each function's first piece row.
-    """
-    caches = [bf.primal._float_cache() for bf in basis]
-    nb = np.array([len(b) for b, _ in caches])
-    breaks = np.full((len(nb), nb.max()), np.inf)
-    breaks[np.arange(nb.max()) < nb[:, None]] = np.concatenate([b for b, _ in caches])
-    widths = np.repeat([c.shape[1] for _, c in caches], nb - 1)
-    coeffs = np.zeros((len(widths), widths.max()))
-    coeffs[np.arange(widths.max()) < widths[:, None]] = np.concatenate([c.ravel() for _, c in caches])
-    first = np.cumsum(nb - 1) - (nb - 1)
-    return breaks, coeffs, first
-
-
 def _point_operator(basis, x, gamma):
     """Sparse len(x) x N matrices (V, D) of basis values and derivatives at x.
 
@@ -162,7 +149,7 @@ def _point_operator(basis, x, gamma):
     at, whether or not the basis was enriched at it.
     """
     x = np.asarray(x, dtype=float)
-    breaks, coeffs, first = _tables(basis)
+    breaks, coeffs = basis.breaks, basis.coeffs
     n, width = breaks.shape
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -188,7 +175,7 @@ def _point_operator(basis, x, gamma):
             piece += step & ~end
             past_end = np.flatnonzero(end)
     t = xp - breaks[f, piece]
-    c = coeffs[first[f] + piece]
+    c = coeffs[f, piece]
     val = c[:, -1].copy()
     der = np.zeros_like(t)
     for d in range(c.shape[1] - 2, -1, -1):
@@ -205,10 +192,8 @@ def _point_operator(basis, x, gamma):
 def _gauss_mesh(basis, gamma=None):
     """QUAD_NODES Gauss nodes and weights on every cell of the union of the
     breakpoints of all functions in `basis`, plus gamma when given."""
-    pts = [bf.primal._float_cache()[0] for bf in basis]
-    if gamma is not None:
-        pts.append([gamma])
-    edges = np.unique(np.concatenate(pts))
+    pts = basis.breaks[np.isfinite(basis.breaks)]
+    edges = np.unique(pts if gamma is None else np.append(pts, gamma))
     t, wt = gauss_rule(QUAD_NODES)
     lo, hi = edges[:-1, None], edges[1:, None]
     h = hi - lo
@@ -326,6 +311,8 @@ def condition_number(A, tol: float = 1e-4) -> float:
 def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise values and derivative values of u_J = sum c_i eta_i."""
     x = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot evaluate at non-finite points")
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation grid must lie in [0, 1]")
     V, D = _point_operator(sol.basis, x, sol.basis.gamma)

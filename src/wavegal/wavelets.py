@@ -18,7 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .piecewise import Interval, PiecewisePolynomial, inner_product
 
@@ -37,6 +39,9 @@ __all__ = [
 ]
 
 VERIFICATION_TOL = 1e-10
+
+# the primal families, in the order of their rows in `WaveletSystem.float_tables`
+FAMILIES = tuple((kind, side) for kind in ("scaling", "wavelet") for side in ("left", "interior", "right"))
 
 
 class SystemFormatError(ValueError):
@@ -132,6 +137,18 @@ class WaveletSystem:
         if kind == "scaling":
             return range(self.n_l_phi, 2**j - self.n_h_phi + 1)
         return range(self.n_l_psi, 2**j - self.n_h_psi + 1)
+
+    @cached_property
+    def float_tables(self) -> tuple:
+        """(first, breaks, coeffs): the primal functions' float tables, stacked
+        once per system.  Member c of family FAMILIES[f] is row first[f] + c;
+        breaks are padded with +inf, and the local monomial coefficients of
+        `PiecewisePolynomial._float_cache` (rows x pieces x degree+1) with 0."""
+        caches = [pp._float_cache() for f in FAMILIES for pp in self.family(*f)]
+        nb, w = max(len(b) for b, _ in caches), max(c.shape[1] for _, c in caches)
+        breaks = np.array([np.pad(b, (0, nb - len(b)), constant_values=np.inf) for b, _ in caches])
+        coeffs = np.array([np.pad(c, ((0, nb - 1 - len(c)), (0, w - c.shape[1]))) for _, c in caches])
+        return np.cumsum([0] + [len(self.family(*f)) for f in FAMILIES])[:-1], breaks, coeffs
 
 
 # ---------------------------------------------------------------------------

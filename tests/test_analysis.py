@@ -161,7 +161,7 @@ class TestDecayFamilies:
             interior, boundary = _level_families(sys2, j, g)
             ks = sorted(k for _, _, t in interior for k in t)
             ks += sorted(k for _, k, is_t in boundary if is_t)
-            want = sorted(bf.k for bf in interface_set(sys2, j, g))
+            want = sorted(interface_set(sys2, j, g)[:, 3].tolist())
             assert ks == want
 
     def test_linear_function_kills_interior_away_coefficients(self, sys2):

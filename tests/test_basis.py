@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from wavegal.basis import (
-    build_phi_level,
-    build_psi_level,
+    EnrichedBasis,
+    _level,
+    _make,
     enriched_basis,
     interface_set,
     truncated_basis,
 )
 from wavegal.piecewise import inner_product
-from wavegal.wavelets import builtin_order2_system
+from wavegal.wavelets import FAMILIES, builtin_order2_system
 
 
 @pytest.fixture(scope="module")
@@ -44,26 +45,50 @@ def oracle_interface_ks(sys, j, gamma):
     return sorted(out)
 
 
+def level(sys, kind, j):
+    """The level-j scaling or wavelet set as BasisFunctions, in basis order."""
+    return list(EnrichedBasis(sys, *_level(sys, kind, j).T, J0=j, J=j, gamma=None))
+
+
+def former_order(sys, J0, J, gamma):
+    """(kind, component, j, k) of every basis function in the order of the
+    former per-function builder: per level the left family, the interior
+    translates (k, then component) and the right family; interface sets
+    keep the functions whose mapped dual support contains gamma."""
+    top = J if gamma is None else (2 * sys.m - 2) * J - 1
+    out = []
+    for kind, j in [("scaling", J0)] + [("wavelet", j) for j in range(J0, top + 1)]:
+        for side, ks in (("left", [0]), ("interior", sys.interior_range(kind, j)), ("right", [2**j - 1])):
+            for k in ks:
+                for comp, pd in enumerate(sys.family(kind, side, dual=True)):
+                    lo, hi = float(pd.support.lo) + k, float(pd.support.hi) + k
+                    if j <= J or lo <= gamma * 2**j <= hi:
+                        out.append((f"{kind}-{side}", comp, j, k))
+    return out
+
+
 class TestLevelSets:
     def test_scaling_level_counts(self, sys2):
         for j in (2, 3, 5, 8):
-            assert len(build_phi_level(sys2, j)) == 2**j - 1
+            assert len(_level(sys2, "scaling", j)) == 2**j - 1
 
     def test_wavelet_level_counts(self, sys2):
         for j in (2, 3, 5, 8):
-            assert len(build_psi_level(sys2, j)) == 2**j
+            assert len(_level(sys2, "wavelet", j)) == 2**j
 
     def test_below_coarsest_level_rejected(self, sys2):
         with pytest.raises(ValueError):
-            build_phi_level(sys2, sys2.J0 - 1)
+            _level(sys2, "scaling", sys2.J0 - 1)
+        with pytest.raises(ValueError):
+            truncated_basis(sys2, sys2.J0 - 1, sys2.J0)
 
     def test_supports_inside_unit_interval(self, sys2):
-        for bf in build_phi_level(sys2, 3) + build_psi_level(sys2, 3):
+        for bf in level(sys2, "scaling", 3) + level(sys2, "wavelet", 3):
             assert float(bf.support.lo) >= 0.0
             assert float(bf.support.hi) <= 1.0
 
     def test_functions_vanish_at_domain_ends(self, sys2):
-        for bf in build_phi_level(sys2, 2) + build_psi_level(sys2, 4):
+        for bf in level(sys2, "scaling", 2) + level(sys2, "wavelet", 4):
             assert bf.primal(0.0) == pytest.approx(0.0, abs=1e-14)
             assert bf.primal(1.0) == pytest.approx(0.0, abs=1e-14)
 
@@ -71,13 +96,13 @@ class TestLevelSets:
         # the stored primal is 2^-j times the L2-normalized translate, so
         # its H1 energy is level-independent
         for j in (2, 4, 6):
-            bf = build_psi_level(sys2, j)[2**j // 2]
+            bf = level(sys2, "wavelet", j)[2**j // 2]
             d = bf.primal.derivative()
             energy = float(inner_product(d, d))
             assert energy == pytest.approx(4.0, rel=1e-12)
 
     def test_dual_support_is_mapped_mother_support(self, sys2):
-        bf = build_psi_level(sys2, 4)[5]
+        bf = level(sys2, "wavelet", 4)[5]
         assert bf.kind == "wavelet-interior"
         pd = sys2.psi_dual[0]
         want_lo = (float(pd.support.lo) + bf.k) / 16
@@ -107,10 +132,7 @@ class TestInterfaceSet:
         gammas = np.concatenate([rng.uniform(0.001, 0.999, 94), [0.5, 0.25, 1 / 3, GAMMA, 0.0078, 0.9921]])
         for g in gammas:
             for j in (3, 5, 8, 12):
-                got = sorted(
-                    ("interior" if bf.kind == "wavelet-interior" else bf.kind.split("-")[1], bf.k)
-                    for bf in interface_set(sys2, j, float(g))
-                )
+                got = sorted((FAMILIES[f][1], k) for f, _, _, k in interface_set(sys2, j, float(g)).tolist())
                 assert got == oracle_interface_ks(sys2, j, float(g)), (g, j)
 
     def test_cardinality_formula_interior(self, sys2):
@@ -126,12 +148,13 @@ class TestInterfaceSet:
 
     def test_known_level4_example(self, sys2):
         members = interface_set(sys2, 4, GAMMA)
-        assert [bf.k for bf in members] == [7, 8, 9]
+        assert members[:, 3].tolist() == [7, 8, 9]
+        assert members[:, 2].tolist() == [4, 4, 4]
 
     def test_dyadic_gamma_includes_both_neighbors(self, sys2):
         # gamma on a shared dual-support endpoint belongs to both closed
         # supports, so membership is inclusive on both sides
-        got = {bf.k for bf in interface_set(sys2, 4, 0.5)}
+        got = set(interface_set(sys2, 4, 0.5)[:, 3].tolist())
         oracle = {k for kind, k in oracle_interface_ks(sys2, 4, 0.5)}
         assert got == oracle
 
@@ -150,12 +173,12 @@ class TestEnrichedBasis:
         trunc = truncated_basis(sys2, 2, 4)
         enr = enriched_basis(sys2, 2, 4, GAMMA)
         key = lambda bf: (bf.j, bf.kind, bf.k, bf.component)
-        assert [key(bf) for bf in enr.functions[: trunc.N]] == [key(bf) for bf in trunc]
+        assert [key(enr[i]) for i in range(trunc.N)] == [key(bf) for bf in trunc]
 
     def test_enrichment_levels(self, sys2):
         J = 4
         enr = enriched_basis(sys2, 2, J, GAMMA)
-        extra = [bf.j for bf in enr.functions[2 ** (J + 1) - 1 :]]
+        extra = [enr[i].j for i in range(2 ** (J + 1) - 1, enr.N)]
         top = (2 * sys2.m - 2) * J - 1
         assert extra == sorted(extra)
         assert min(extra) == J + 1 and max(extra) == top
@@ -180,3 +203,71 @@ class TestEnrichedBasis:
         )
         w = np.linalg.eigvalsh(G)
         assert w[0] > 1e-12
+
+
+@pytest.fixture(scope="module")
+def made(sys2):
+    """_make's BasisFunction for a (family, component, j, k) key, built once."""
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            f, comp, j, k = key
+            cache[key] = _make(sys2, *FAMILIES[f], j, k, comp)
+        return cache[key]
+
+    return get
+
+
+def keys(basis):
+    return zip(*(a.tolist() for a in (basis.family, basis.component, basis.j, basis.k)))
+
+
+class TestIndexArrays:
+    """The basis is index arrays plus float tables gathered per family; both
+    must be what the exact per-function construction gives."""
+
+    def assert_tables_exact(self, basis, made):
+        # bit for bit: the gather is the float path of dyadic_transform
+        for i, key in enumerate(keys(basis)):
+            br, co = made(key).primal._float_cache()
+            row = basis.breaks[i]
+            assert row[: len(br)].tobytes() == br.tobytes() and np.isposinf(row[len(br) :]).all()
+            c = basis.coeffs[i]
+            assert c[: len(co), : co.shape[1]].tobytes() == co.tobytes()
+            assert not c[len(co) :].any() and not c[:, co.shape[1] :].any()
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [GAMMA, 0.5, 0.25, 0.5 + 2.0**-53, *np.random.default_rng(3).uniform(0.001, 0.999, 3)],
+    )
+    def test_enriched_tables_match_exact_functions(self, sys2, made, gamma):
+        for J in range(2, 13):
+            self.assert_tables_exact(enriched_basis(sys2, 2, J, float(gamma)), made)
+
+    def test_truncated_tables_match_exact_functions(self, sys2, made):
+        for J in range(2, 13):
+            self.assert_tables_exact(truncated_basis(sys2, 2, J), made)
+        self.assert_tables_exact(truncated_basis(sys2, 5, 7), made)
+
+    def test_items_are_the_exact_functions(self, sys2):
+        for basis in (enriched_basis(sys2, 2, 5, GAMMA), truncated_basis(sys2, 3, 5)):
+            got, order = list(basis), former_order(sys2, basis.J0, basis.J, basis.gamma)
+            assert len(got) == len(order) == basis.N
+            assert [basis[i - len(basis)].k for i in range(len(basis))] == [bf.k for bf in got]
+            for bf, (kind, comp, j, k) in zip(got, order):
+                ref = _make(sys2, *kind.split("-"), j, k, comp)
+                assert (bf.kind, bf.component, bf.j, bf.k) == (kind, comp, j, k)
+                assert bf.primal.breakpoints == ref.primal.breakpoints
+                assert bf.primal.pieces == ref.primal.pieces
+                assert bf.dual_support == ref.dual_support
+
+    @pytest.mark.parametrize("gamma", [GAMMA, 0.5, 0.25, 0.5 + 2.0**-53, 0.0078, 0.9921])
+    def test_ordering_unchanged(self, sys2, gamma):
+        for J in (2, 3, 4, 7):
+            basis = enriched_basis(sys2, 2, J, gamma)
+            got = [("-".join(FAMILIES[f]), c, j, k) for f, c, j, k in keys(basis)]
+            assert got == former_order(sys2, 2, J, gamma)
+        basis = truncated_basis(sys2, 2, 6)
+        got = [("-".join(FAMILIES[f]), c, j, k) for f, c, j, k in keys(basis)]
+        assert got == former_order(sys2, 2, 6, None)

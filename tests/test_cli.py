@@ -157,6 +157,22 @@ class TestRun:
         records = run(ExperimentConfig(problem="ex1", jmin=2, jmax=4))
         assert [r.N_J for r in records] == [10, 21, 40]
 
+    def test_sweep_builds_no_exact_functions(self, monkeypatch):
+        # a sweep reads the gathered float tables only: once the system and
+        # problem exist, no basis function is built in exact arithmetic
+        from wavegal.piecewise import PiecewisePolynomial
+        from wavegal.wavelets import builtin_order2_system
+
+        builtin_order2_system()
+
+        def refuse(*args):
+            raise AssertionError("dyadic_transform called during a sweep")
+
+        monkeypatch.setattr(PiecewisePolynomial, "dyadic_transform", refuse)
+        for mode in ("enriched", "fem"):
+            records = run(ExperimentConfig(problem="ex2", mode=mode, jmin=2, jmax=6))
+            assert len(records) == 5
+
     def test_reference_solve_when_no_exact(self, monkeypatch):
         # ex3 gives no closed form: its errors are measured against the flux
         # quadrature, and the sweep solves one system per level, no reference

@@ -7,13 +7,14 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavegal.basis import build_phi_level, enriched_basis, truncated_basis
+from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
 from wavegal.galerkin import (
     DiscreteSolution,
     ExactSolution,
     InterfaceProblem,
     SolverError,
     _cg_jacobi,
+    _piecewise_call,
     assemble,
     assemble_load,
     assemble_stiffness,
@@ -72,16 +73,41 @@ class TestInterfaceProblem:
             plain_problem().u(0.5)
 
 
+class TestPiecewiseCall:
+    def test_straddling_array_unchanged(self):
+        # both sides present: each side's function sees only its own points
+        x = np.linspace(0.0, 1.0, 101)
+        want = np.empty_like(x)
+        want[x < 0.3] = np.sin(x[x < 0.3])
+        want[x >= 0.3] = np.exp(x[x >= 0.3])
+        got = _piecewise_call(np.sin, np.exp, 0.3, x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_side_calls_that_side_on_x(self):
+        x = np.array([[0.1, 0.2], [0.25, 0.05]])
+        assert _piecewise_call(np.sin, np.exp, 0.3, x).tobytes() == np.sin(x).tobytes()
+        assert _piecewise_call(np.sin, np.exp, 0.01, x).tobytes() == np.exp(x).tobytes()
+
+    def test_gamma_takes_plus_side(self):
+        out = _piecewise_call(lambda x: -np.ones_like(x), lambda x: np.ones_like(x), 0.5, [0.5])
+        assert out.tolist() == [1.0]
+        assert _piecewise_call(lambda x: -1.0, lambda x: 1.0, 0.5, [0.25, 0.5]).tolist() == [-1.0, 1.0]
+
+    def test_scalar_return_broadcast(self):
+        for x in (np.array([0.1, 0.2, 0.3]), np.full((2, 3), 0.7), np.array([])):
+            for gamma in (0.5, 0.05):
+                out = _piecewise_call(lambda x: 2.0, lambda x: 3, gamma, x)
+                assert out.dtype == float and out.shape == x.shape
+                assert np.all(out == np.where(x < gamma, 2.0, 3.0))
+
+
 class TestStiffness:
     def test_hat_stencil_constant_coefficient(self, sys2):
         # rescaled level-3 hats with a == 1: the classic tridiagonal
         # stencil, independent of the level thanks to the 2^-j rescaling
-        basis = build_phi_level(sys2, 3)
-        from wavegal.basis import EnrichedBasis
-
-        eb = EnrichedBasis(tuple(basis), 3, 3, sys2.m, 0.3)
+        eb = EnrichedBasis(sys2, *_level(sys2, "scaling", 3).T, J0=3, J=3, gamma=0.3)
         A = assemble_stiffness(eb, plain_problem()).toarray()
-        n = len(basis)
+        n = len(eb)
         for i in range(1, n - 1):
             assert A[i, i] == pytest.approx(2.0, rel=1e-13)
             assert A[i, i + 1] == pytest.approx(-1.0, rel=1e-13)
@@ -103,10 +129,7 @@ class TestStiffness:
 
     def test_jump_scales_one_side(self, sys2):
         # a hat supported strictly right of gamma scales linearly in a+
-        basis = build_phi_level(sys2, 4)
-        from wavegal.basis import EnrichedBasis
-
-        eb = EnrichedBasis(tuple(basis), 4, 4, sys2.m, 0.2)
+        eb = EnrichedBasis(sys2, *_level(sys2, "scaling", 4).T, J0=4, J=4, gamma=0.2)
         A1 = assemble_stiffness(eb, plain_problem(gamma=0.2, ap=1.0)).toarray()
         A9 = assemble_stiffness(eb, plain_problem(gamma=0.2, ap=9.0)).toarray()
         i = next(
@@ -345,6 +368,13 @@ class TestEvaluateSolution:
         sol = DiscreteSolution(np.zeros(eb.N), eb)
         with pytest.raises(ValueError):
             evaluate_solution(sol, np.array([-0.1, 0.5]))
+
+    def test_non_finite_grid_rejected(self, sys2):
+        eb = enriched_basis(sys2, 2, 4, np.sqrt(2) / 2)
+        sol = DiscreteSolution(np.ones(eb.N), eb)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate_solution(sol, [0.3, bad, 0.7])
 
 
 class TestExport:
