@@ -204,25 +204,36 @@ def _gauss_mesh(basis, gamma=None):
     return x.ravel(), (h * wt).ravel()
 
 
+def _stiffness(problem, x, w, D):
+    # A = D^T diag(w a) D, formed as S^T S so that it is exactly symmetric
+    S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
+    return (S.T @ S).tocsr()
+
+
+def _load(basis, problem, x, w, V):
+    Vg, _ = _point_operator(basis, [problem.gamma], problem.gamma)
+    return V.T @ (w * problem.f(x)) - Vg.T @ np.array([problem.g_gamma])
+
+
 def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy.sparse.csr_matrix:
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
     x, w = _gauss_mesh(basis, problem.gamma)
     _, D = _point_operator(basis, x, problem.gamma)
-    # A = D^T diag(w a) D, formed as S^T S so that it is exactly symmetric
-    S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
-    return (S.T @ S).tocsr()
+    return _stiffness(problem, x, w, D)
 
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
     """Load vector b[i] = int f eta_i - g_gamma eta_i(gamma)."""
     x, w = _gauss_mesh(basis, problem.gamma)
     V, _ = _point_operator(basis, x, problem.gamma)
-    Vg, _ = _point_operator(basis, [problem.gamma], problem.gamma)
-    return V.T @ (w * problem.f(x)) - Vg.T @ np.array([problem.g_gamma])
+    return _load(basis, problem, x, w, V)
 
 
 def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
-    return LinearSystem(assemble_stiffness(basis, problem), assemble_load(basis, problem), basis)
+    """Stiffness and load from one Gauss mesh and one point operator."""
+    x, w = _gauss_mesh(basis, problem.gamma)
+    V, D = _point_operator(basis, x, problem.gamma)
+    return LinearSystem(_stiffness(problem, x, w, D), _load(basis, problem, x, w, V), basis)
 
 
 def _cg_jacobi(A, b, rtol=CG_RTOL):

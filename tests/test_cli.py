@@ -126,6 +126,23 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "solve", boom)
         assert main(["--problem", "ex2", "--jmax", "2"]) == EXIT_SOLVER
 
+    def test_code_in_problem_section_is_config_error(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            """
+            [experiment]
+            jmax = 3
+            [problem]
+            gamma = 0.5
+            a_minus = 1
+            a_plus = 2
+            g_gamma = 0
+            u_minus = __import__("os").getpid()
+            u_plus = x*(1-x)
+            """,
+        )
+        assert main(["--config", path]) == EXIT_CONFIG
+
     def test_verify_only_builtin(self, capsys):
         assert main(["--verify-only"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out

@@ -1,6 +1,11 @@
 """Unit tests for the expression language and the built-in problems."""
 
+import builtins
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from wavegal.expressions import (
     Expression,
     ExpressionError,
+    Poly,
     parse_expression,
 )
 from wavegal.problems import BUILTIN_PROBLEMS, builtin_problem, problem_from_spec
@@ -64,6 +70,78 @@ class TestExpressions:
     def test_is_constant(self):
         assert parse_expression("sqrt(2)/2").is_constant()
         assert not parse_expression("x/2").is_constant()
+
+    def test_constants_as_text(self):
+        f = parse_expression("G*x", {"G": "pi/6"})
+        assert f(2.0) == 2.0 * (math.pi / 6)
+        with pytest.raises(ExpressionError, match="depends on x"):
+            parse_expression("G*x", {"G": "x/6"})
+
+    def test_scalar_call_returns_float(self):
+        assert type(parse_expression("x^2 + sin(x)")(0.5)) is float
+
+    def test_x_dependent_exponent(self):
+        assert parse_expression("2^x")(3.0) == pytest.approx(8.0, rel=1e-15)
+        assert parse_expression("e^x").tree == parse_expression("exp(x)").tree
+        with pytest.raises(ExpressionError, match="positive constant base"):
+            parse_expression("x^x")
+
+
+class TestGrammar:
+    """Only the documented grammar parses; nothing in the text is run."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '__import__("os").getpid()',
+            "(lambda: 3)()",
+            "log(x)",
+            "abs(x)",
+            "E*x",
+            "exp",
+            "x.real",
+            "x[0]",
+            "[x][0]",
+            "x if x else 1",
+            "x < 1",
+            "x // 2",
+            "x % 2",
+            "x | 1",
+            "True*x",
+            "1j*x",
+            "'x'",
+            "exp(x, 2)",
+            "exp(x=1)",
+            "exp(*[x])",
+            "x # comment",
+        ],
+    )
+    def test_outside_grammar_rejected(self, text):
+        with pytest.raises(ExpressionError):
+            parse_expression(text)
+
+    def test_text_never_runs(self, monkeypatch):
+        # a module whose function records each call, importable by name
+        ran = []
+        probe = types.SimpleNamespace(run=lambda *a: ran.append(a) or 1.0)
+        monkeypatch.setitem(sys.modules, "wavegal_probe", probe)
+        monkeypatch.setattr(builtins, "run", probe.run, raising=False)
+        for text in (
+            "__import__('wavegal_probe').run()",
+            "x + __import__('wavegal_probe').run(x)",
+            "run(x)",
+            "(lambda: run())()",
+            "[run() for _ in 'a'][0]",
+        ):
+            with pytest.raises(ExpressionError):
+                parse_expression(text)
+        assert ran == []
+
+    def test_import_does_not_load_sympy(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import sys, wavegal; sys.exit('sympy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +214,62 @@ class TestBuiltinProblems:
     def test_constant_override(self):
         p = builtin_problem("ex2", constants={"A": 7.0})
         assert p.a(np.array([0.9]))[0] == pytest.approx(7.0)
+
+
+def written_out(pid):
+    """(u', f) per side of ex1 and ex2, differentiated by hand."""
+    if pid == "ex1":
+        G, A = math.pi / 6, 1e5
+        e, den = math.exp(G), (G - 1) ** 3 * A * (G - 3)
+        C = {
+            2: (-3 * G**4 + 20 * G**3 * A + (-5 * A + 6) * G**2 - 16 * A * G + 9 * A - 3) * e / (G * den),
+            3: (3 * G**5 + (-20 * A + 7) * G**4 + (-40 * A - 10) * G**3 + (50 * A - 10) * G**2
+                + (-8 * A + 7) * G - 6 * A + 3) * e / (den * G**2),
+            4: (-7 * G**4 + 45 * G**3 * A + (-10 * A + 14) * G**2 - 25 * A * G + 14 * A - 7) * e / (den * G**2),
+            5: (4 * G**3 + (-24 * A - 4) * G**2 + (24 * A - 4) * G - 8 * A + 4) * e / (den * G**2),
+        }
+        du = (lambda x: (1 + x) * np.exp(x), lambda x: sum(k * c * x ** (k - 1) for k, c in C.items()))
+        f = (lambda x: -(2 + x) * np.exp(x), lambda x: -A * sum(k * (k - 1) * c * x ** (k - 2) for k, c in C.items()))
+        return du, f
+    G, A = math.sqrt(2) / 2, 2e4
+    K = math.sin(1 - G) + math.exp(G) - 1
+    du = (lambda x: np.exp(x) - K, lambda x: np.cos(G - x) - K)
+    f = (lambda x: -np.exp(x), lambda x: -A * np.sin(G - x))
+    return du, f
+
+
+class TestFoldedTrees:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2"])
+    def test_text_round_trip_is_bit_identical(self, pid):
+        p = builtin_problem(pid)
+        x = np.linspace(0.0, 1.0, 1001)
+        for u, f in ((p.exact.u_minus, p.f_minus), (p.exact.u_plus, p.f_plus)):
+            for e in (u, u.diff(), u.diff(2), f):
+                back = parse_expression(e.text)
+                assert back.tree == e.tree, e.text
+                assert back(x).tobytes() == e(x).tobytes(), e.text
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2"])
+    def test_derivatives_match_written_out(self, pid):
+        p = builtin_problem(pid)
+        du, f = written_out(pid)
+        got = ((p.exact.du_minus, p.exact.du_plus), (p.f_minus, p.f_plus))
+        for i, (lo, hi) in enumerate(((0.0, p.gamma), (p.gamma, 1.0))):
+            x = np.linspace(lo, hi, 1001)
+            for side, want in zip(got, (du[i], f[i])):
+                ref = want(x)
+                scale = max(np.abs(ref).max(), np.abs(side[i](x)).max())
+                assert np.abs(side[i](x) - ref).max() <= 1e-13 * scale
+
+    def test_polynomials_and_constants_fold(self, ex1):
+        assert isinstance(ex1.exact.u_plus.tree, Poly)
+        assert len(ex1.exact.u_plus.tree.c) == 6
+        assert isinstance(ex1.f_plus.tree, Poly)
+        c = parse_expression("sin(pi/6)*exp(1) - A", {"A": 2})
+        assert c.is_constant() and c.text == repr(c(0.0))
+        assert c(0.0) == pytest.approx(math.sin(math.pi / 6) * math.e - 2, rel=1e-15)
+        out = c(np.zeros((2, 3)))
+        assert out.shape == (2, 3) and np.all(out == c(0.0))
 
 
 class TestProblemFromSpec:
