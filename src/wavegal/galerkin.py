@@ -13,6 +13,20 @@ vector and the evaluation of discrete solutions.  It reads the basis's
 float tables (`EnrichedBasis.breaks` and `coeffs`, gathered from the
 system's per-family tables), never the exact polynomials that
 `basis[i]` builds on access.
+
+The stiffness matrix stores only the entries that support arithmetic
+cannot prove zero.  An off-diagonal pair is dropped when the support
+[lo, hi] of one function lies in a single piece of the other, that piece
+has degree <= 1, [lo, hi] lies on one side of gamma (hi <= gamma or
+lo >= gamma), and `a` is constant on that side (an `Expression` whose
+`is_constant()` holds; a plain callable never is).  The other function's
+derivative is then a constant c on [lo, hi], so the entry is
+a c (eta(hi) - eta(lo)) = 0, since every basis function vanishes at the
+ends of its support.  These are the zeros of the hierarchical basis
+(Yserentant, Numer. Math. 49, 1986); the quadrature leaves roundoff of
+at most about 2e-16 sqrt(A_ii A_jj) in their place, which is not stored.
+The rule reads the degree of the piece, not the order m, so it drops
+nothing it cannot prove for higher-order systems either.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .basis import EnrichedBasis
+from .expressions import Expression
 from .piecewise import gauss_rule
 
 __all__ = [
@@ -204,10 +219,47 @@ def _gauss_mesh(basis, gamma=None):
     return x.ravel(), (h * wt).ravel()
 
 
-def _stiffness(problem, x, w, D):
-    # A = D^T diag(w a) D, formed as S^T S so that it is exactly symmetric
+def _is_constant(a) -> bool:
+    """Whether a coefficient is provably constant: an `Expression` that folded
+    to a number.  A plain callable proves nothing."""
+    return isinstance(a, Expression) and a.is_constant()
+
+
+def _structural_zeros(basis, problem, row, col):
+    """Mask of the stored pairs (row[k], col[k]) that the rule of the module
+    docstring proves zero.  Every primal vanishing at its support ends is
+    the battery's h1-membership check.  Breakpoints are dyadic, so the
+    float comparisons are exact.
+    """
+    left_ok, right_ok = _is_constant(problem.a_minus), _is_constant(problem.a_plus)
+    if not (left_ok or right_ok):
+        return np.zeros(len(row), dtype=bool)
+    breaks, gamma = basis.breaks, problem.gamma
+    nb = np.isfinite(breaks).sum(axis=1)
+    lo, hi = breaks[:, 0], breaks[np.arange(len(nb)), nb - 1]
+    linear = ~np.any(basis.coeffs[:, :, 2:] != 0.0, axis=2)  # (function, piece)
+
+    # only the narrower support can lie in a piece of the other: a function
+    # whose whole support is one linear piece vanishing at both ends is 0
+    narrow = hi[row] - lo[row] <= hi[col] - lo[col]
+    i, j = np.where(narrow, row, col), np.where(narrow, col, row)
+    drop = (i != j) & ((hi[i] <= gamma) & left_ok | (lo[i] >= gamma) & right_ok)
+    i, j = i[drop], j[drop]
+    p = (breaks[j] <= lo[i][:, None]).sum(axis=1) - 1  # piece of j holding lo_i
+    q = np.clip(p, 0, linear.shape[1] - 1)
+    drop[drop] = (p >= 0) & (p < nb[j] - 1) & (hi[i] <= breaks[j, q + 1]) & linear[j, q]
+    return drop
+
+
+def _stiffness(basis, problem, x, w, D):
+    """A = D^T diag(w a) D, formed as S^T S so that it is exactly symmetric,
+    with the structural zeros of `_structural_zeros` not stored."""
     S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
-    return (S.T @ S).tocsr()
+    A = (S.T @ S).tocsr()
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    keep = ~_structural_zeros(basis, problem, row, A.indices)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=A.shape[0]))])
+    return scipy.sparse.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
 def _load(basis, problem, x, w, V):
@@ -219,7 +271,7 @@ def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
     x, w = _gauss_mesh(basis, problem.gamma)
     _, D = _point_operator(basis, x, problem.gamma)
-    return _stiffness(problem, x, w, D)
+    return _stiffness(basis, problem, x, w, D)
 
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
@@ -233,7 +285,7 @@ def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
     """Stiffness and load from one Gauss mesh and one point operator."""
     x, w = _gauss_mesh(basis, problem.gamma)
     V, D = _point_operator(basis, x, problem.gamma)
-    return LinearSystem(_stiffness(problem, x, w, D), _load(basis, problem, x, w, V), basis)
+    return LinearSystem(_stiffness(basis, problem, x, w, D), _load(basis, problem, x, w, V), basis)
 
 
 def _cg_jacobi(A, b, rtol=CG_RTOL):
@@ -297,7 +349,10 @@ def condition_number(A, tol: float = 1e-4) -> float:
 
     Small matrices use a direct symmetric eigensolve; larger ones use
     Lanczos with a deterministic start vector (largest eigenvalue
-    directly, smallest via shift-invert at zero).
+    directly, smallest via shift-invert at zero).  The shift-invert
+    factors A once with a minimum-degree ordering of A^T + A and no
+    pivoting, which suits an SPD matrix; SuperLU's default column
+    ordering fills the factor of a multilevel matrix badly.
     """
     n = A.shape[0]
     if n <= 3:
@@ -309,8 +364,13 @@ def condition_number(A, tol: float = 1e-4) -> float:
         lmax = scipy.sparse.linalg.eigsh(
             As, k=1, which="LA", tol=tol, v0=v0, return_eigenvectors=False
         )[0]
+        lu = scipy.sparse.linalg.splu(
+            As, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
         lmin = scipy.sparse.linalg.eigsh(
-            As, k=1, sigma=0.0, which="LM", tol=tol, v0=v0, return_eigenvectors=False
+            As, k=1, sigma=0.0, which="LM", tol=tol, v0=v0, return_eigenvectors=False,
+            OPinv=scipy.sparse.linalg.LinearOperator(As.shape, matvec=lu.solve, dtype=float),
         )[0]
     except Exception as e:  # scipy raises several unrelated types here
         raise SolverError(f"eigenvalue estimation failed: {e}") from e

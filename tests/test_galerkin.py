@@ -1,5 +1,7 @@
 """Unit tests for assembly, solving, and solution evaluation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.io
@@ -8,12 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
+from wavegal.expressions import parse_expression
 from wavegal.galerkin import (
     DiscreteSolution,
     ExactSolution,
     InterfaceProblem,
     SolverError,
     _cg_jacobi,
+    _gauss_mesh,
+    _point_operator,
     _piecewise_call,
     assemble,
     assemble_load,
@@ -24,6 +29,7 @@ from wavegal.galerkin import (
     solve,
 )
 from wavegal.piecewise import PiecewisePolynomial, inner_product
+from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
 
@@ -178,8 +184,6 @@ def assert_matches_reference(basis, problem, rtol=1e-12):
 class TestAgainstPairwiseQuadrature:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_builtin_problems(self, sys2, name):
-        from wavegal.problems import builtin_problem
-
         p = builtin_problem(name)
         assert_matches_reference(enriched_basis(sys2, 2, 4, p.gamma), p)
 
@@ -221,6 +225,166 @@ class TestAgainstPairwiseQuadrature:
         A = assemble_stiffness(basis, p).toarray()
         apart = np.array([[not f.support.intersects(h.support) for h in basis] for f in basis])
         assert apart.any() and np.all(A[apart] == 0.0)
+
+
+def full_stiffness(basis, problem):
+    """S^T S with every pair of overlapping supports stored: the product
+    `assemble` forms before it drops the structural zeros."""
+    x, w = _gauss_mesh(basis, problem.gamma)
+    _, D = _point_operator(basis, x, problem.gamma)
+    S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
+    return (S.T @ S).tocsr()
+
+
+def dropped_pairs(A, F):
+    """Check that A is F less some off-diagonal entries: each kept entry bit
+    for bit, each dropped one at most 1e-14 sqrt(F_ii F_jj), the diagonal
+    kept.  Returns the dropped (row, col) pairs."""
+    n = F.shape[0]
+    A, F = A.tocoo(), F.tocoo()
+    ka, kf = A.row.astype(np.int64) * n + A.col, F.row.astype(np.int64) * n + F.col
+    of = np.argsort(kf)
+    at = np.searchsorted(kf[of], ka)
+    assert len(np.unique(ka)) == len(ka)
+    assert np.all(at < len(kf)) and np.array_equal(kf[of][np.minimum(at, len(kf) - 1)], ka)
+    assert F.data[of][at].tobytes() == A.data.tobytes()
+    dropped = np.ones(len(kf), dtype=bool)
+    dropped[of[at]] = False
+    r, c, v = F.row[dropped], F.col[dropped], F.data[dropped]
+    assert np.all(r != c)
+    d = F.diagonal()
+    assert np.all(np.abs(v) <= 1e-14 * np.sqrt(d[r] * d[c]))
+    return r, c
+
+
+def rule_oracle(basis, gamma, left_constant=True, right_constant=True):
+    """Unordered pairs {i, j} the zero rule proves, from the exact rational
+    functions: one support inside one piece of degree <= 1 of the other,
+    on a side of gamma where a is constant (no side test for gamma None)."""
+    fs = [bf.primal for bf in basis]
+
+    def inside(p, q):
+        lo, hi = p.breakpoints[0], p.breakpoints[-1]
+        if gamma is not None and not (
+            hi <= Fraction(gamma) and left_constant or lo >= Fraction(gamma) and right_constant
+        ):
+            return False
+        return any(a <= lo and hi <= b and not any(piece[2:])
+                   for a, b, piece in zip(q.breakpoints, q.breakpoints[1:], q.pieces))
+
+    return {(i, j) for i in range(len(fs)) for j in range(i + 1, len(fs))
+            if inside(fs[i], fs[j]) or inside(fs[j], fs[i])}
+
+
+def parsed_problem(gamma, a_minus, a_plus, g=0.0, constants=None):
+    return InterfaceProblem(
+        gamma=gamma,
+        a_minus=parse_expression(a_minus, constants),
+        a_plus=parse_expression(a_plus, constants),
+        f_minus=parse_expression("1 + x"),
+        f_plus=parse_expression("cos(x)"),
+        g_gamma=g,
+    )
+
+
+class TestStructuralZeros:
+    """`assemble` stores only the entries the support rule cannot prove zero."""
+
+    @pytest.mark.parametrize("mode", ["enriched", "fem"])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_matches_full_product(self, sys2, name, mode):
+        p = builtin_problem(name)
+        for J in range(5, 13):
+            if mode == "enriched":
+                basis = enriched_basis(sys2, 2, J, p.gamma)
+            else:
+                basis = truncated_basis(sys2, 2, J)
+            system = assemble(basis, p)
+            r, c = dropped_pairs(system.A, full_stiffness(basis, p))
+            assert len(r) > 0
+            if name == "ex3":  # a+ = 1000 e^x: only pairs left of gamma go
+                hi = basis.breaks[np.arange(len(basis)), np.isfinite(basis.breaks).sum(axis=1) - 1]
+                assert np.all(np.minimum(hi[r], hi[c]) <= p.gamma)
+
+    def test_ex2_stores_few_entries(self, sys2):
+        p = builtin_problem("ex2")
+        A = assemble(enriched_basis(sys2, 2, 12, p.gamma), p).A
+        assert A.nnz <= 9000  # 156 414 with every overlapping pair stored
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gamma=st.one_of(
+            st.floats(1e-3, 1 - 1e-3),
+            st.tuples(
+                st.integers(1, 8).flatmap(lambda e: st.integers(1, 2**e - 1).map(lambda k: k / 2**e)),
+                st.floats(-1e-15, 1e-15),
+            ).map(sum),
+        ),
+        contrast=st.floats(1e-3, 1e6),
+        g=st.floats(-10.0, 10.0),
+        a_minus=st.sampled_from(["1", "1 + x^2"]),
+        a_plus=st.sampled_from(["A", "A*exp(x)"]),
+        J=st.integers(2, 7),
+        enriched=st.booleans(),
+    )
+    @example(gamma=0.5 + 2.0**-53, contrast=1e6, g=1.0, a_minus="1", a_plus="A", J=5, enriched=True)
+    @example(gamma=0.5 - 2.0**-54, contrast=1e-3, g=0.0, a_minus="1", a_plus="A", J=5, enriched=True)
+    @example(gamma=0.25 + 2.0**-54, contrast=1e6, g=-2.0, a_minus="1", a_plus="A", J=4, enriched=False)
+    def test_symmetric_spd_and_agrees(self, sys2, gamma, contrast, g, a_minus, a_plus, J, enriched):
+        p = parsed_problem(gamma, a_minus, a_plus, g, {"A": contrast})
+        basis = enriched_basis(sys2, 2, J, gamma) if enriched else truncated_basis(sys2, 2, J)
+        A = assemble(basis, p).A
+        dropped_pairs(A, full_stiffness(basis, p))
+        assert (A != A.T).nnz == 0
+        np.linalg.cholesky(A.toarray())  # raises unless A is SPD
+
+    def assert_nothing_dropped(self, basis, p):
+        A, F = assemble_stiffness(basis, p), full_stiffness(basis, p)
+        assert len(dropped_pairs(A, F)[0]) == 0 and A.nnz == F.nnz
+
+    def test_plain_callable_proves_nothing(self, sys2):
+        self.assert_nothing_dropped(enriched_basis(sys2, 2, 6, 0.3), plain_problem(ap=1e3))
+
+    def test_coefficient_depending_on_x_proves_nothing(self, sys2):
+        p = parsed_problem(0.3, "1 + x", "2 + x^2")
+        self.assert_nothing_dropped(enriched_basis(sys2, 2, 6, 0.3), p)
+
+    def test_degree_two_piece_proves_nothing(self, sys2):
+        # one more coefficient column: zero keeps every piece linear, so the
+        # rule drops what it dropped before; nonzero makes every piece quadratic
+        p = parsed_problem(0.3, "1", "100")
+        basis = enriched_basis(sys2, 2, 6, 0.3)
+        linear = assemble_stiffness(basis, p)
+        wide = np.concatenate([basis.coeffs, np.zeros(basis.coeffs.shape[:2] + (1,))], axis=2)
+        object.__setattr__(basis, "coeffs", wide)
+        assert np.array_equal(assemble_stiffness(basis, p).indices, linear.indices)
+        wide[:, :, 2] = 1e-3
+        self.assert_nothing_dropped(basis, p)
+
+    def assert_drops_what_the_rule_proves(self, basis, gamma, left, right):
+        p = parsed_problem(gamma, "1" if left else "1 + x", "7" if right else "7 + x")
+        r, c = dropped_pairs(assemble_stiffness(basis, p), full_stiffness(basis, p))
+        got = {(min(i, j), max(i, j)) for i, j in zip(r.tolist(), c.tolist())}
+        want = rule_oracle(basis, gamma, left, right)
+        assert got == want and want
+        return want
+
+    @pytest.mark.parametrize("gamma,left,right", [(0.3, True, True), (0.3, True, False), (5 / 16, False, True)])
+    def test_fem_basis(self, sys2, gamma, left, right):
+        # a truncated basis has no gamma of its own, so the rule must read the
+        # problem's, which lies inside some supports
+        basis = truncated_basis(sys2, 2, 5)
+        want = self.assert_drops_what_the_rule_proves(basis, gamma, left, right)
+        # pairs the rule would prove if gamma were ignored straddle it, and stay
+        assert rule_oracle(basis, None) - want
+
+    def test_support_across_a_breakpoint(self, sys2):
+        # in the hierarchical basis a nested support never crosses a coarser
+        # breakpoint; level-3 and level-4 hats together do (the level-4 hat
+        # peaked at 1/8 lies in the support of the level-3 one, not in a piece)
+        rows = np.concatenate([_level(sys2, "scaling", 3), _level(sys2, "scaling", 4)])
+        basis = EnrichedBasis(sys2, *rows.T, J0=3, J=4, gamma=None)
+        self.assert_drops_what_the_rule_proves(basis, 0.9, True, True)
 
 
 class TestLoad:
@@ -280,8 +444,6 @@ class TestSolve:
         assert np.all(_cg_jacobi(A, np.zeros(4)) == 0.0)
 
     def test_galerkin_orthogonality_residual(self, sys2):
-        from wavegal.problems import builtin_problem
-
         p = builtin_problem("ex2")
         eb = enriched_basis(sys2, 2, 4, p.gamma)
         system = assemble(eb, p)
