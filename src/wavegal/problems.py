@@ -20,6 +20,8 @@ so every problem has an exact u to measure errors against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .expressions import Expression, ExpressionError, parse_expression
@@ -139,8 +141,26 @@ def _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma) -> ExactS
     right = _FluxSide(a_plus, f_plus, gamma, 1.0, left.F[-1] - g_gamma)
     right.P, right.Q = right.P - right.P[-1], right.Q - right.Q[-1]
     left.C = right.C = (left.Q[-1] - right.Q[0]) / (left.P[-1] - right.P[0])
-    return ExactSolution(lambda x: left(x)[0], lambda x: right(x)[0],
-                         lambda x: left(x)[1], lambda x: right(x)[1])
+    return _FluxSolution(lambda x: left(x)[0], lambda x: right(x)[0],
+                         lambda x: left(x)[1], lambda x: right(x)[1], left, right)
+
+
+@dataclass(frozen=True)
+class _FluxSolution(ExactSolution):
+    """A flux-quadrature solution: each side's one pass gives both u and
+    u', so `values` runs it once per side where u and du would run it
+    twice."""
+
+    left: _FluxSide
+    right: _FluxSide
+
+    def values(self, gamma, x):
+        x = np.asarray(x, dtype=float)
+        neg = x < gamma
+        out = np.empty((2,) + x.shape)
+        out[:, neg] = self.left(x[neg])
+        out[:, ~neg] = self.right(x[~neg])
+        return out[0], out[1]
 
 
 def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:

@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
 from wavegal.expressions import parse_expression
 from wavegal.galerkin import (
+    QUAD_NODES,
     DiscreteSolution,
     ExactSolution,
     InterfaceProblem,
     SolverError,
     _cg_jacobi,
-    _gauss_mesh,
+    _graded_mesh,
     _point_operator,
     _piecewise_call,
+    _stiffness_product,
+    _structural_zeros,
+    _synthesis,
     assemble,
     assemble_load,
     assemble_stiffness,
@@ -28,7 +32,7 @@ from wavegal.galerkin import (
     export_matrix_market,
     solve,
 )
-from wavegal.piecewise import PiecewisePolynomial, inner_product
+from wavegal.piecewise import PiecewisePolynomial, gauss_rule, inner_product
 from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
@@ -228,12 +232,30 @@ class TestAgainstPairwiseQuadrature:
 
 
 def full_stiffness(basis, problem):
-    """S^T S with every pair of overlapping supports stored: the product
-    `assemble` forms before it drops the structural zeros."""
-    x, w = _gauss_mesh(basis, problem.gamma)
-    _, D = _point_operator(basis, x, problem.gamma)
-    S = scipy.sparse.diags(np.sqrt(w * problem.a(x))) @ D
-    return (S.T @ S).tocsr()
+    """S^T S before the structural zeros are dropped: the product `assemble`
+    forms.  The sparse product stores no entry that sums to exactly 0."""
+    edges, x = _graded_mesh(basis, problem.gamma)
+    return _stiffness_product(problem, edges, x, _synthesis(basis, edges))
+
+
+def point_form(basis, problem):
+    """A = D^T diag(w a) D and b = V^T (w f) - g_gamma V(gamma) from the basis
+    values V and derivatives D at the QUAD_NODES Gauss nodes of every cell,
+    summed in long double."""
+    edges, x = _graded_mesh(basis, problem.gamma)
+    x = x.ravel()
+    w = (np.diff(edges)[:, None] * gauss_rule(QUAD_NODES)[1]).ravel().astype(np.longdouble)
+    V, D = (M.tocsr().astype(np.longdouble) for M in _point_operator(basis, x, problem.gamma))
+    Vg, _ = _point_operator(basis, [problem.gamma], problem.gamma)
+    A = (D.T @ scipy.sparse.diags(w * problem.a(x)) @ D).tocsr()
+    b = V.T @ (w * problem.f(x)) - problem.g_gamma * Vg.toarray().ravel()
+    return A, b
+
+
+def support_ends(basis):
+    """Each function's support [lo, hi] from the basis's float tables."""
+    nb = np.isfinite(basis.breaks).sum(axis=1)
+    return basis.breaks[:, 0], basis.breaks[np.arange(len(basis)), nb - 1]
 
 
 def dropped_pairs(A, F):
@@ -303,7 +325,7 @@ class TestStructuralZeros:
             r, c = dropped_pairs(system.A, full_stiffness(basis, p))
             assert len(r) > 0
             if name == "ex3":  # a+ = 1000 e^x: only pairs left of gamma go
-                hi = basis.breaks[np.arange(len(basis)), np.isfinite(basis.breaks).sum(axis=1) - 1]
+                _, hi = support_ends(basis)
                 assert np.all(np.minimum(hi[r], hi[c]) <= p.gamma)
 
     def test_ex2_stores_few_entries(self, sys2):
@@ -365,8 +387,14 @@ class TestStructuralZeros:
         p = parsed_problem(gamma, "1" if left else "1 + x", "7" if right else "7 + x")
         r, c = dropped_pairs(assemble_stiffness(basis, p), full_stiffness(basis, p))
         got = {(min(i, j), max(i, j)) for i, j in zip(r.tolist(), c.tolist())}
+        # many proved pairs sum to exactly 0 and are absent from the product,
+        # so the rule is also asked about every pair of overlapping supports
+        lo, hi = support_ends(basis)
+        i, j = np.nonzero(np.triu((lo[:, None] < hi) & (lo < hi[:, None]), 1))
+        proved = _structural_zeros(basis, p, i, j)
         want = rule_oracle(basis, gamma, left, right)
-        assert got == want and want
+        assert set(zip(i[proved].tolist(), j[proved].tolist())) == want and want
+        assert got <= want
         return want
 
     @pytest.mark.parametrize("gamma,left,right", [(0.3, True, True), (0.3, True, False), (5 / 16, False, True)])
@@ -385,6 +413,38 @@ class TestStructuralZeros:
         rows = np.concatenate([_level(sys2, "scaling", 3), _level(sys2, "scaling", 4)])
         basis = EnrichedBasis(sys2, *rows.T, J0=3, J=4, gamma=None)
         self.assert_drops_what_the_rule_proves(basis, 0.9, True, True)
+
+
+class TestCellForm:
+    """Assembly from each cell's polynomial agrees with the point form, the
+    basis evaluated at every Gauss node, summed in long double."""
+
+    @pytest.mark.parametrize("name,J", [("ex1", 12), ("ex2", 12), ("ex3", 10)])
+    def test_stiffness_matches_long_double_point_form(self, sys2, name, J):
+        # the point form summed in float64 is off by up to 3.6e-13 here
+        p = builtin_problem(name)
+        basis = enriched_basis(sys2, 2, J, p.gamma)
+        A = assemble_stiffness(basis, p).tocoo()
+        R, _ = point_form(basis, p)
+        ref = np.asarray(R[A.row, A.col]).ravel()
+        d = A.diagonal()
+        assert np.all(np.abs(A.data - ref) <= 1e-14 * np.sqrt(d[A.row] * d[A.col]))
+
+    def test_degree_two_pieces(self, sys2):
+        # a degree-2 column in the tables: each cell's Gram matrix is 2 x 2
+        # and its Cholesky factor is no longer a scalar
+        p = parsed_problem(0.3, "1 + x^2", "100*exp(x)", g=1.5)
+        basis = enriched_basis(sys2, 2, 6, 0.3)
+        wide = np.concatenate([basis.coeffs, np.zeros(basis.coeffs.shape[:2] + (1,))], axis=2)
+        wide[:, :, 2] = np.random.default_rng(4).uniform(-20.0, 20.0, wide.shape[:2])
+        object.__setattr__(basis, "coeffs", wide)
+        A, b = assemble_stiffness(basis, p).toarray(), assemble_load(basis, p)
+        R, rb = point_form(basis, p)
+        R = R.toarray()
+        d = np.diag(A)
+        assert np.all(np.abs(A - R) <= 1e-14 * np.sqrt(np.outer(d, d)))
+        assert np.all(np.abs(b - rb) <= 1e-14 * np.abs(b).max())
+        assert np.all(d > 0.0) and np.array_equal(A, A.T)
 
 
 class TestLoad:
