@@ -223,18 +223,19 @@ def _point_operator(basis, x, gamma):
 
 def _graded_mesh(basis, gamma=None):
     """Edges of the graded mesh (the union of the breakpoints of all
-    functions in `basis`, plus gamma when given) and the QUAD_NODES Gauss
-    nodes of each of its cells, as a cells x QUAD_NODES array."""
+    functions in `basis`, plus gamma when given), the QUAD_NODES Gauss
+    nodes x of each of its cells and their weights w, both as cells x
+    QUAD_NODES arrays."""
     pts = basis.breaks[np.isfinite(basis.breaks)]
     edges = np.unique(pts if gamma is None else np.append(pts, gamma))
-    t, _ = gauss_rule(QUAD_NODES)
+    t, wt = gauss_rule(QUAD_NODES)
     lo, hi = edges[:-1, None], edges[1:, None]
     # on cells only a few ulps wide the nodes may round onto an edge, where
     # a and f would be read on the wrong side of gamma; keep them inside (a
     # cell one ulp wide has them on its left edge, the side its pieces are
     # read from)
     x = np.clip(lo + (hi - lo) * t, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    return edges, x
+    return edges, x, (hi - lo) * wt
 
 
 def _synthesis(basis, edges):
@@ -272,10 +273,10 @@ def _synthesis(basis, edges):
 
 
 def _cell_powers(p):
-    """The QUAD_NODES Gauss weights on [0, 1] and the powers t^n, n < p, at
-    the nodes (QUAD_NODES x p)."""
-    t, wt = gauss_rule(QUAD_NODES)
-    return wt, t[:, None] ** np.arange(p)
+    """The powers t^n, n < p, at the QUAD_NODES Gauss nodes on [0, 1]
+    (QUAD_NODES x p)."""
+    t, _ = gauss_rule(QUAD_NODES)
+    return t[:, None] ** np.arange(p)
 
 
 def _cell_values(basis, edges, coefficients):
@@ -285,7 +286,7 @@ def _cell_values(basis, edges, coefficients):
     h = np.diff(edges)
     U = (_synthesis(basis, edges) @ coefficients).reshape(len(h), -1)
     p = U.shape[1]
-    _, T = _cell_powers(p)
+    T = _cell_powers(p)
     return U @ T.T, (U[:, 1:] * np.arange(1, p)) @ T[:, : p - 1].T / h[:, None]
 
 
@@ -336,7 +337,8 @@ def _stiffness_product(problem, edges, x, C):
     """
     h = np.diff(edges)
     d = C.shape[0] // len(h) - 1
-    wt, T = _cell_powers(2 * d - 1)
+    _, wt = gauss_rule(QUAD_NODES)
+    T = _cell_powers(2 * d - 1)
     G = ((wt * problem.a(x)) @ T / h[:, None])[:, np.add.outer(np.arange(d), np.arange(d))]
     L = np.linalg.cholesky(G)
     # row n of block c of L C' holds (k + 1) L_c[k, n] against C's row
@@ -361,28 +363,28 @@ def _stiffness(basis, problem, edges, x, C):
     return scipy.sparse.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
-def _load(problem, edges, x, C):
+def _load(problem, edges, x, w, C):
     """b = C^T m - g_gamma eta(gamma): m holds each cell's moments
     int_c f t^n, and eta(gamma) is C's t^0 row on the cell right of gamma."""
-    h = np.diff(edges)
-    p = C.shape[0] // len(h)
-    wt, T = _cell_powers(p)
+    p = C.shape[0] // len(w)
     rhs = np.zeros((C.shape[0], 2))
-    rhs[:, 0] = ((h[:, None] * wt * problem.f(x)) @ T).ravel()
+    rhs[:, 0] = ((w * problem.f(x)) @ _cell_powers(p)).ravel()
     rhs[p * np.searchsorted(edges, problem.gamma), 1] = problem.g_gamma
     load, dirac = (C.T @ rhs).T
     return load - dirac
 
 
 def _cell_form(basis, problem):
-    """The graded mesh split at the problem's gamma, its Gauss nodes and C."""
-    edges, x = _graded_mesh(basis, problem.gamma)
-    return edges, x, _synthesis(basis, edges)
+    """The graded mesh split at the problem's gamma, its Gauss nodes and
+    weights, and C."""
+    edges, x, w = _graded_mesh(basis, problem.gamma)
+    return edges, x, w, _synthesis(basis, edges)
 
 
 def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy.sparse.csr_matrix:
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
-    return _stiffness(basis, problem, *_cell_form(basis, problem))
+    edges, x, _, C = _cell_form(basis, problem)
+    return _stiffness(basis, problem, edges, x, C)
 
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
@@ -392,8 +394,8 @@ def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray
 
 def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
     """Stiffness and load from one graded mesh and one synthesis matrix."""
-    edges, x, C = _cell_form(basis, problem)
-    return LinearSystem(_stiffness(basis, problem, edges, x, C), _load(problem, edges, x, C), basis)
+    edges, x, w, C = _cell_form(basis, problem)
+    return LinearSystem(_stiffness(basis, problem, edges, x, C), _load(problem, edges, x, w, C), basis)
 
 
 def _cg_jacobi(A, b, rtol=CG_RTOL):

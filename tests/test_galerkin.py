@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
 from wavegal.expressions import parse_expression
 from wavegal.galerkin import (
-    QUAD_NODES,
     DiscreteSolution,
     ExactSolution,
     InterfaceProblem,
@@ -32,7 +31,7 @@ from wavegal.galerkin import (
     export_matrix_market,
     solve,
 )
-from wavegal.piecewise import PiecewisePolynomial, gauss_rule, inner_product
+from wavegal.piecewise import PiecewisePolynomial, inner_product
 from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
@@ -234,7 +233,7 @@ class TestAgainstPairwiseQuadrature:
 def full_stiffness(basis, problem):
     """S^T S before the structural zeros are dropped: the product `assemble`
     forms.  The sparse product stores no entry that sums to exactly 0."""
-    edges, x = _graded_mesh(basis, problem.gamma)
+    edges, x, _ = _graded_mesh(basis, problem.gamma)
     return _stiffness_product(problem, edges, x, _synthesis(basis, edges))
 
 
@@ -242,9 +241,8 @@ def point_form(basis, problem):
     """A = D^T diag(w a) D and b = V^T (w f) - g_gamma V(gamma) from the basis
     values V and derivatives D at the QUAD_NODES Gauss nodes of every cell,
     summed in long double."""
-    edges, x = _graded_mesh(basis, problem.gamma)
-    x = x.ravel()
-    w = (np.diff(edges)[:, None] * gauss_rule(QUAD_NODES)[1]).ravel().astype(np.longdouble)
+    _, x, w = _graded_mesh(basis, problem.gamma)
+    x, w = x.ravel(), w.ravel().astype(np.longdouble)
     V, D = (M.tocsr().astype(np.longdouble) for M in _point_operator(basis, x, problem.gamma))
     Vg, _ = _point_operator(basis, [problem.gamma], problem.gamma)
     A = (D.T @ scipy.sparse.diags(w * problem.a(x)) @ D).tocsr()
@@ -385,8 +383,10 @@ class TestStructuralZeros:
 
     def assert_drops_what_the_rule_proves(self, basis, gamma, left, right):
         p = parsed_problem(gamma, "1" if left else "1 + x", "7" if right else "7 + x")
-        r, c = dropped_pairs(assemble_stiffness(basis, p), full_stiffness(basis, p))
+        F = full_stiffness(basis, p)
+        r, c = dropped_pairs(assemble_stiffness(basis, p), F)
         got = {(min(i, j), max(i, j)) for i, j in zip(r.tolist(), c.tolist())}
+        stored = {(min(i, j), max(i, j)) for i, j in zip(*(k.tolist() for k in F.nonzero()))}
         # many proved pairs sum to exactly 0 and are absent from the product,
         # so the rule is also asked about every pair of overlapping supports
         lo, hi = support_ends(basis)
@@ -394,7 +394,8 @@ class TestStructuralZeros:
         proved = _structural_zeros(basis, p, i, j)
         want = rule_oracle(basis, gamma, left, right)
         assert set(zip(i[proved].tolist(), j[proved].tolist())) == want and want
-        assert got <= want
+        # assemble drops every proved pair the product stores, and no other
+        assert got == want & stored
         return want
 
     @pytest.mark.parametrize("gamma,left,right", [(0.3, True, True), (0.3, True, False), (5 / 16, False, True)])
