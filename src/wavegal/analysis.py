@@ -3,10 +3,12 @@
 Errors are integrated with the Gauss rule of the Galerkin assembly on
 the graded mesh of all basis breakpoints plus gamma (see
 `galerkin._graded_mesh`), so the quadrature resolves every enrichment
-level and never straddles the derivative jump.  The discrete solution
-is evaluated from its per-cell polynomials, the coefficients C c of the
-assembly's synthesis matrix C (`galerkin._cell_values`), and the exact
-one from a problem's `ExactSolution.values`, u and u' together.
+level and never straddles the derivative jump.  A solution from
+`galerkin.solve` carries the mesh and synthesis matrix C its system was
+assembled on, and they are reused whenever they were split at the gamma
+asked for.  The discrete solution is evaluated from its per-cell
+polynomials, the coefficients C c (`galerkin._cell_values`), and the
+exact one from a problem's `ExactSolution.values`, u and u' together.
 
 The decay diagnostics measure the coefficients <u, 2^j eta~_{j;k}> of a
 known piecewise-smooth u against the dual wavelets, split into the family
@@ -35,8 +37,8 @@ import numpy as np
 from .galerkin import (
     DiscreteSolution,
     ExactSolution,
+    _cell_form,
     _cell_values,
-    _graded_mesh,
     evaluate_solution,  # noqa: F401  (looked up here by perfbench's traced run)
 )
 from .piecewise import PiecewisePolynomial, gauss_rule
@@ -109,14 +111,18 @@ def error_norms(sol: DiscreteSolution, reference, gamma: float | None = None) ->
 
     The reference is a problem (or any object with u and du methods) or a
     pair of callables (u, u').  Gauss quadrature on every cell of the union
-    of sol's breakpoints plus gamma, so each cell holds one polynomial
-    piece of every basis function and one side of gamma; u_J is evaluated
-    from its per-cell polynomials.
+    of sol's breakpoints plus gamma (default: the basis's), so each cell
+    holds one polynomial piece of every basis function and one side of
+    gamma; u_J is evaluated from its per-cell polynomials.  The mesh is
+    sol's own when it was split at this gamma, and is built otherwise.
     """
-    edges, x, w = _graded_mesh(sol.basis, sol.basis.gamma if gamma is None else gamma)
-    ur, dur = _reference_values(reference, x)
-    uj, duj = _cell_values(sol.basis, edges, sol.coefficients)
-    w = w.ravel()
+    gamma = sol.basis.gamma if gamma is None else gamma
+    form = sol.form
+    if form is None or form.gamma != gamma:
+        form = _cell_form(sol.basis, gamma)
+    ur, dur = _reference_values(reference, form.x)
+    uj, duj = _cell_values(form.C, form.edges, sol.coefficients)
+    w = form.w.ravel()
     e_l2 = math.sqrt(float(np.dot(w, ((uj - ur) ** 2).ravel())))
     e_h1 = math.sqrt(float(np.dot(w, ((duj - dur) ** 2).ravel())))
     return ErrorPair(e_l2, e_h1)

@@ -152,25 +152,29 @@ def interface_set(sys: WaveletSystem, j: int, gamma: float) -> np.ndarray:
 
     Membership is tested exactly against the closed dual support
     [(lo + k) 2^-j, (hi + k) 2^-j], inclusive at endpoints: if gamma lands
-    exactly on a shared dyadic endpoint, both neighbors qualify.  Only the
-    boundary functions and the O(1) interior translates near gamma are
-    tested, so this stays cheap at the deep enrichment levels.
+    exactly on a shared dyadic endpoint, both neighbors qualify.  The
+    endpoints lo, hi are multiples of 1/p, p a power of two, so the test is
+    lo p + k p <= 2^j gamma p <= hi p + k p, on floats that are all exact
+    while 2^j p < 2^53.  Only the boundary functions and the O(1) interior
+    translates near gamma are tested, so this stays cheap at the deep
+    enrichment levels.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
+    sides = ("left", "interior", "right")
+    sups = [[pp.support for pp in sys.family("wavelet", side, dual=True)] for side in sides]
+    p = max(e.denominator for fam in sups for s in fam for e in (s.lo, s.hi))
     # interior candidates: translates near 2^j gamma, a superset of the members
     t, ks = gamma * 2**j, sys.interior_range("wavelet", j)
-    lo = min(float(pp.support.lo) for pp in sys.psi_dual)
-    hi = max(float(pp.support.hi) for pp in sys.psi_dual)
-    near = range(max(ks.start, math.floor(t - hi) - 1), min(ks.stop, math.ceil(t - lo) + 2))
-    cands = [("left", comp, 0) for comp in range(len(sys.psi_left_dual))]
-    cands += [("interior", comp, k) for k in near for comp in range(sys.r)]
-    cands += [("right", comp, 2**j - 1) for comp in range(len(sys.psi_right_dual))]
-    rows = []
-    for side, comp, k in cands:
-        sup = sys.family("wavelet", side, dual=True)[comp].support
-        if (sup.lo + k) / 2**j <= gamma <= (sup.hi + k) / 2**j:
-            rows.append((FAMILIES.index(("wavelet", side)), comp, j, k))
+    lo, hi = min(float(s.lo) for s in sups[1]), max(float(s.hi) for s in sups[1])
+    near = np.arange(max(ks.start, math.floor(t - hi) - 1), min(ks.stop, math.ceil(t - lo) + 2))
+    g, rows = math.ldexp(gamma, j) * p, []
+    for side, fam, k in zip(sides, sups, ([0], near, [2**j - 1])):
+        k, comp = np.repeat(k, len(fam)), np.tile(np.arange(len(fam)), len(k))
+        ends = np.array([[float(s.lo) * p, float(s.hi) * p] for s in fam]).reshape(-1, 2)
+        ends = ends[comp] + (k * p)[:, None]
+        keep = (ends[:, 0] <= g) & (g <= ends[:, 1])
+        rows += [(FAMILIES.index(("wavelet", side)), c, j, kk) for c, kk in zip(comp[keep], k[keep])]
     return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
 

@@ -139,6 +139,10 @@ def run(cfg: ExperimentConfig, log=None) -> list:
     levels = list(range(jmin, cfg.jmax + 1))
     if not levels:
         raise ConfigError("empty level range")
+    top = (2 * sysdef.m - 2) * cfg.jmax - 1  # deepest enrichment level; <= 2 MAX_LEVEL - 1 for m=2
+    if cfg.mode == "enriched" and top > 2 * MAX_LEVEL - 1:
+        raise ConfigError(f"jmax={cfg.jmax} needs enrichment level {top} for m={sysdef.m}, "
+                          f"past the desk-scale guard {2 * MAX_LEVEL - 1}")
 
     records = []
     for J in levels:

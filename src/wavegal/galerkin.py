@@ -25,6 +25,10 @@ convention of `PiecewisePolynomial.evaluate_array`.  Everything reads
 the basis's float tables (`EnrichedBasis.breaks` and `coeffs`, gathered
 from the system's per-family tables), never the exact polynomials that
 `basis[i]` builds on access.
+`assemble` keeps the mesh, its Gauss nodes and weights and C together
+(`_CellForm`); the `LinearSystem` carries them, and `solve` hands them to
+its `DiscreteSolution`, so errors are measured on the mesh and C the
+system was assembled from.
 
 The stiffness matrix stores only the entries that support arithmetic
 cannot prove zero.  An off-diagonal pair is dropped when the support
@@ -40,16 +44,19 @@ or roundoff of at most about 2e-16 sqrt(A_ii A_jj) in their place, and
 neither is stored.
 The rule reads the degree of the piece, not the order m, so it drops
 nothing it cannot prove for higher-order systems either.
+
+A is sparse and SPD, so `solve` factors it once (`_spd_factor`: SuperLU
+with a minimum-degree ordering of A^T + A and diagonal pivots only, a
+sparse Cholesky factorization up to the scaling of its rows), and
+`condition_number` inverts with the same factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.io
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -73,12 +80,10 @@ __all__ = [
 ]
 
 QUAD_NODES = 10
-CG_RTOL = 1e-12
-DENSE_CUTOFF = 2000
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative solve or eigenvalue estimate fails."""
+    """Raised when a matrix is not SPD or an eigenvalue estimate fails."""
 
 
 @dataclass(frozen=True)
@@ -152,17 +157,31 @@ class InterfaceProblem:
         return _piecewise_call(self.exact.du_minus, self.exact.du_plus, self.gamma, x)
 
 
+class _CellForm(NamedTuple):
+    """The graded mesh of a basis split at gamma: its edges, the Gauss nodes
+    x and weights w of its cells (cells x QUAD_NODES each), and the
+    synthesis matrix C of the basis on it."""
+
+    gamma: float | None
+    edges: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    C: scipy.sparse.csc_matrix
+
+
 @dataclass
 class LinearSystem:
     A: scipy.sparse.csr_matrix
     b: np.ndarray
     basis: EnrichedBasis
+    form: _CellForm | None = field(default=None, repr=False)
 
 
 @dataclass
 class DiscreteSolution:
     coefficients: np.ndarray
     basis: EnrichedBasis
+    form: _CellForm | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.basis):
@@ -279,12 +298,12 @@ def _cell_powers(p):
     return t[:, None] ** np.arange(p)
 
 
-def _cell_values(basis, edges, coefficients):
+def _cell_values(C, edges, coefficients):
     """Values and derivatives of sum_i coefficients[i] eta_i at the Gauss
     nodes of every cell of `edges` (cells x QUAD_NODES each), from the
-    per-cell coefficients C c."""
+    per-cell coefficients C c of the synthesis matrix C on those cells."""
     h = np.diff(edges)
-    U = (_synthesis(basis, edges) @ coefficients).reshape(len(h), -1)
+    U = (C @ coefficients).reshape(len(h), -1)
     p = U.shape[1]
     T = _cell_powers(p)
     return U @ T.T, (U[:, 1:] * np.arange(1, p)) @ T[:, : p - 1].T / h[:, None]
@@ -353,105 +372,73 @@ def _stiffness_product(problem, edges, x, C):
     return (S.T @ S).tocsr()
 
 
-def _stiffness(basis, problem, edges, x, C):
-    """`_stiffness_product` with the structural zeros of `_structural_zeros`
-    not stored."""
-    A = _stiffness_product(problem, edges, x, C)
+def _stiffness(basis, problem, form):
+    """`_stiffness_product` on `form` with the structural zeros of
+    `_structural_zeros` not stored."""
+    A = _stiffness_product(problem, form.edges, form.x, form.C)
     row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     keep = ~_structural_zeros(basis, problem, row, A.indices)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=A.shape[0]))])
     return scipy.sparse.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
-def _load(problem, edges, x, w, C):
+def _load(problem, form):
     """b = C^T m - g_gamma eta(gamma): m holds each cell's moments
     int_c f t^n, and eta(gamma) is C's t^0 row on the cell right of gamma."""
-    p = C.shape[0] // len(w)
+    C = form.C
+    p = C.shape[0] // len(form.w)
     rhs = np.zeros((C.shape[0], 2))
-    rhs[:, 0] = ((w * problem.f(x)) @ _cell_powers(p)).ravel()
-    rhs[p * np.searchsorted(edges, problem.gamma), 1] = problem.g_gamma
+    rhs[:, 0] = ((form.w * problem.f(form.x)) @ _cell_powers(p)).ravel()
+    rhs[p * np.searchsorted(form.edges, problem.gamma), 1] = problem.g_gamma
     load, dirac = (C.T @ rhs).T
     return load - dirac
 
 
-def _cell_form(basis, problem):
-    """The graded mesh split at the problem's gamma, its Gauss nodes and
-    weights, and C."""
-    edges, x, w = _graded_mesh(basis, problem.gamma)
-    return edges, x, w, _synthesis(basis, edges)
+def _cell_form(basis, gamma):
+    """The graded mesh of `basis` split at gamma, its Gauss nodes and
+    weights, and the basis's synthesis matrix on it."""
+    edges, x, w = _graded_mesh(basis, gamma)
+    return _CellForm(gamma, edges, x, w, _synthesis(basis, edges))
 
 
 def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy.sparse.csr_matrix:
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
-    edges, x, _, C = _cell_form(basis, problem)
-    return _stiffness(basis, problem, edges, x, C)
+    return _stiffness(basis, problem, _cell_form(basis, problem.gamma))
 
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
     """Load vector b[i] = int f eta_i - g_gamma eta_i(gamma)."""
-    return _load(problem, *_cell_form(basis, problem))
+    return _load(problem, _cell_form(basis, problem.gamma))
 
 
 def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
-    """Stiffness and load from one graded mesh and one synthesis matrix."""
-    edges, x, w, C = _cell_form(basis, problem)
-    return LinearSystem(_stiffness(basis, problem, edges, x, C), _load(problem, edges, x, w, C), basis)
+    """Stiffness and load from one graded mesh and one synthesis matrix,
+    which the system keeps for measuring its solution's errors."""
+    form = _cell_form(basis, problem.gamma)
+    return LinearSystem(_stiffness(basis, problem, form), _load(problem, form), basis, form)
 
 
-def _cg_jacobi(A, b, rtol=CG_RTOL):
-    """Conjugate gradients on the Jacobi-scaled system, hand-rolled so the
-    iteration and its stopping rule are fully deterministic."""
-    n = len(b)
-    d = A.diagonal()
-    if np.any(d <= 0):
-        raise SolverError("non-positive diagonal entry; matrix is not SPD")
-    s = 1.0 / np.sqrt(d)
-    As = scipy.sparse.diags(s) @ A @ scipy.sparse.diags(s)
-    bs = s * b
-    bnorm = np.linalg.norm(bs)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    y = np.zeros(n)
-    r = bs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    maxiter = 50 * n
-    for _ in range(maxiter):
-        if np.sqrt(rs) <= rtol * bnorm:
-            return s * y
-        Ap = As @ p
-        alpha = rs / float(p @ Ap)
-        y += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) <= rtol * bnorm:
-        return s * y
-    raise SolverError(
-        f"CG did not converge in {maxiter} iterations "
-        f"(relative residual {np.sqrt(rs) / bnorm:.3e})"
-    )
+def _spd_factor(A):
+    """SuperLU factor of an SPD matrix A: minimum-degree ordering of
+    A^T + A, diagonal pivots only.  Raises SolverError unless every pivot
+    was taken on the diagonal and is positive, which for a symmetric A
+    holds exactly when A is positive definite."""
+    try:
+        lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as e:  # an exactly singular factor
+        raise SolverError(f"factorization failed: {e}") from e
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise SolverError("matrix is not symmetric positive definite")
+    return lu
 
 
-def solve(system: LinearSystem, method: str = "auto") -> DiscreteSolution:
-    """Solve A c = b.  method: 'auto' (Cholesky below DENSE_CUTOFF unknowns,
-    CG above), 'cholesky' or 'cg'."""
-    A, b = system.A, system.b
-    n = len(b)
-    if method == "auto":
-        method = "cholesky" if n < DENSE_CUTOFF else "cg"
-    if method == "cholesky":
-        try:
-            cf = scipy.linalg.cho_factor(A.toarray())
-        except scipy.linalg.LinAlgError as e:
-            raise SolverError(f"Cholesky factorization failed: {e}") from e
-        c = scipy.linalg.cho_solve(cf, b)
-    elif method == "cg":
-        c = _cg_jacobi(A, b)
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
-    return DiscreteSolution(np.asarray(c, dtype=float), system.basis)
+def solve(system: LinearSystem) -> DiscreteSolution:
+    """Solve A c = b by one sparse SPD factorization of A."""
+    c = _spd_factor(system.A).solve(np.asarray(system.b, dtype=float))
+    return DiscreteSolution(c, system.basis, system.form)
 
 
 def condition_number(A, tol: float = 1e-4) -> float:
@@ -459,10 +446,9 @@ def condition_number(A, tol: float = 1e-4) -> float:
 
     Small matrices use a direct symmetric eigensolve; larger ones use
     Lanczos with a deterministic start vector (largest eigenvalue
-    directly, smallest via shift-invert at zero).  The shift-invert
-    factors A once with a minimum-degree ordering of A^T + A and no
-    pivoting, which suits an SPD matrix; SuperLU's default column
-    ordering fills the factor of a multilevel matrix badly.
+    directly, smallest via shift-invert at zero, inverting with the
+    factor of `_spd_factor`; SuperLU's default column ordering fills the
+    factor of a multilevel matrix badly).
     """
     n = A.shape[0]
     if n <= 3:
@@ -470,14 +456,11 @@ def condition_number(A, tol: float = 1e-4) -> float:
         return float(w[-1] / w[0])
     As = scipy.sparse.csc_matrix(A)
     v0 = np.ones(n) / np.sqrt(n)
+    lu = _spd_factor(As)
     try:
         lmax = scipy.sparse.linalg.eigsh(
             As, k=1, which="LA", tol=tol, v0=v0, return_eigenvectors=False
         )[0]
-        lu = scipy.sparse.linalg.splu(
-            As, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
         lmin = scipy.sparse.linalg.eigsh(
             As, k=1, sigma=0.0, which="LM", tol=tol, v0=v0, return_eigenvectors=False,
             OPinv=scipy.sparse.linalg.LinearOperator(As.shape, matvec=lu.solve, dtype=float),
@@ -502,6 +485,8 @@ def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarr
 
 def export_matrix_market(obj, path) -> None:
     """Write a matrix (symmetric coordinate format) or vector to disk."""
+    import scipy.io
+
     if scipy.sparse.issparse(obj):
         scipy.io.mmwrite(path, obj.tocoo(), symmetry="symmetric")
     else:

@@ -157,18 +157,15 @@ class WaveletSystem:
 
 
 def _dof_basis(breaks, deg):
-    """Unit splines spanning all piecewise polynomials of degree <= deg."""
+    """Unit splines spanning all piecewise polynomials of degree <= deg on
+    `breaks`: t^d on cell i and zero elsewhere, each stored as one piece on
+    its own cell, with its (cell, degree)."""
     out = []
-    n = len(breaks) - 1
-    for i in range(n):
+    for i, cell in enumerate(zip(breaks, breaks[1:])):
         for d in range(deg + 1):
-            pieces = []
-            for jj in range(n):
-                c = [Fraction(0)] * (deg + 1)
-                if i == jj:
-                    c[d] = Fraction(1)
-                pieces.append(tuple(c))
-            out.append((PiecewisePolynomial(breaks, pieces), i, d))
+            c = [Fraction(0)] * (deg + 1)
+            c[d] = Fraction(1)
+            out.append((PiecewisePolynomial(cell, [tuple(c)]), i, d))
     return out
 
 

@@ -21,7 +21,7 @@ from wavegal.analysis import (
     tail_energy,
     write_records_csv,
 )
-from wavegal.basis import enriched_basis
+from wavegal.basis import enriched_basis, truncated_basis
 from wavegal.galerkin import DiscreteSolution, InterfaceProblem, assemble, solve
 from wavegal.piecewise import PiecewisePolynomial, gauss_rule
 from wavegal.problems import builtin_problem
@@ -78,6 +78,18 @@ class TestErrorNorms:
         pair = error_norms(sol, p)
         assert pair.E_H1 == pytest.approx(math.sqrt(w @ (du - p.du(x)) ** 2), rel=1e-10)
         assert pair.E_L2 == pytest.approx(math.sqrt(w @ (u - p.u(x)) ** 2), rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    @pytest.mark.parametrize("enriched", [True, False])
+    def test_solved_and_hand_built_agree_bit_for_bit(self, sys2, name, enriched):
+        # the mesh carried from assembly and the one built for a bare
+        # DiscreteSolution give the same numbers
+        p = builtin_problem(name)
+        basis = enriched_basis(sys2, 2, 6, p.gamma) if enriched else truncated_basis(sys2, 2, 6)
+        sol = solve(assemble(basis, p))
+        assert sol.form is not None
+        bare = DiscreteSolution(sol.coefficients, basis)
+        assert error_norms(sol, p, gamma=p.gamma) == error_norms(bare, p, gamma=p.gamma)
 
     def test_bad_reference_type(self, sys2):
         sol = zero_solution(sys2)

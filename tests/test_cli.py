@@ -120,11 +120,31 @@ class TestExitCodes:
         assert main(["--system", str(bad), "--verify-only"]) == EXIT_SYSTEM
 
     def test_solver_failure_exit_code(self, monkeypatch):
-        def boom(system, method="auto"):
+        def boom(system):
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(cli, "solve", boom)
         assert main(["--problem", "ex2", "--jmax", "2"]) == EXIT_SOLVER
+
+    def test_enrichment_depth_guard_reads_the_order(self, monkeypatch):
+        # an order-3 system enriches to level 4 jmax - 1, so jmax=8 (level 31)
+        # is refused before any basis is built and jmax=7 (level 27) is not
+        import dataclasses
+
+        from wavegal.wavelets import builtin_order2_system
+
+        order3 = dataclasses.replace(builtin_order2_system(), m=3)
+
+        def no_basis(*args):
+            raise RuntimeError("basis built")
+
+        monkeypatch.setattr(cli, "_get_system", lambda source: order3)
+        monkeypatch.setattr(cli, "enriched_basis", no_basis)
+        with pytest.raises(ConfigError, match="enrichment level 31"):
+            run(ExperimentConfig(problem="ex2", jmax=8))
+        assert main(["--problem", "ex2", "--jmax", "8"]) == EXIT_CONFIG
+        with pytest.raises(RuntimeError, match="basis built"):
+            run(ExperimentConfig(problem="ex2", jmax=7))
 
     def test_code_in_problem_section_is_config_error(self, tmp_path):
         path = write_config(
@@ -189,6 +209,24 @@ class TestRun:
         for mode in ("enriched", "fem"):
             records = run(ExperimentConfig(problem="ex2", mode=mode, jmin=2, jmax=6))
             assert len(records) == 5
+
+    def test_one_mesh_per_level(self, monkeypatch):
+        # assembly and error measurement share each level's graded mesh and
+        # synthesis matrix
+        import wavegal.galerkin as galerkin
+
+        calls = {"_graded_mesh": 0, "_synthesis": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(galerkin, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(galerkin, name, counted)
+        for mode in ("enriched", "fem"):
+            for name in calls:
+                calls[name] = 0
+            records = run(ExperimentConfig(problem="ex3", mode=mode, jmin=2, jmax=5))
+            assert calls == {"_graded_mesh": len(records), "_synthesis": len(records)}
 
     def test_reference_solve_when_no_exact(self, monkeypatch):
         # ex3 gives no closed form: its errors are measured against the flux

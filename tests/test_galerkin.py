@@ -15,8 +15,8 @@ from wavegal.galerkin import (
     DiscreteSolution,
     ExactSolution,
     InterfaceProblem,
+    LinearSystem,
     SolverError,
-    _cg_jacobi,
     _graded_mesh,
     _point_operator,
     _piecewise_call,
@@ -476,9 +476,8 @@ class TestSolve:
         rng = np.random.default_rng(1)
         c_star = rng.normal(size=eb.N)
         system.b = system.A @ c_star
-        for method in ("cholesky", "cg"):
-            sol = solve(system, method=method)
-            assert sol.coefficients == pytest.approx(c_star, rel=1e-9, abs=1e-11)
+        sol = solve(system)
+        assert sol.coefficients == pytest.approx(c_star, rel=1e-9, abs=1e-11)
 
     def test_point_load_tent_solution(self, sys2):
         # -(u')' = -delta at 1/2 has the closed form u = -min(x, 1-x)/2
@@ -489,20 +488,19 @@ class TestSolve:
         vals, _ = evaluate_solution(sol, xs)
         assert vals == pytest.approx(want, abs=1e-12)
 
-    def test_unknown_method(self, sys2):
-        eb = enriched_basis(sys2, 2, 2, 0.3)
-        system = assemble(eb, plain_problem(gamma=0.3))
-        with pytest.raises(ValueError, match="unknown solve method"):
-            solve(system, method="magic")
+    def test_rejects_non_spd(self, sys2):
+        # an indefinite diagonal, and a zero diagonal that needs an
+        # off-diagonal pivot, each padded with the identity to the basis size
+        eb = truncated_basis(sys2, 2, 2)
+        for M in (np.diag([1.0, -1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+            A = scipy.sparse.block_diag([M, scipy.sparse.identity(eb.N - len(M))], format="csr")
+            with pytest.raises(SolverError):
+                solve(LinearSystem(A, np.ones(eb.N), eb))
 
-    def test_cg_rejects_non_spd(self):
-        A = scipy.sparse.csr_matrix(np.diag([1.0, -1.0, 2.0]))
-        with pytest.raises(SolverError):
-            _cg_jacobi(A, np.ones(3))
-
-    def test_cg_zero_rhs(self):
-        A = scipy.sparse.identity(4, format="csr")
-        assert np.all(_cg_jacobi(A, np.zeros(4)) == 0.0)
+    def test_zero_rhs(self, sys2):
+        eb = truncated_basis(sys2, 2, 2)
+        system = LinearSystem(scipy.sparse.identity(eb.N, format="csr"), np.zeros(eb.N), eb)
+        assert np.all(solve(system).coefficients == 0.0)
 
     def test_galerkin_orthogonality_residual(self, sys2):
         p = builtin_problem("ex2")
