@@ -14,14 +14,14 @@ n < p = coeffs.shape[2].  From C come
   monomials;
 - the load vector, C^T times each cell's moments of f t^n, less g_gamma
   times C's t^0 row on the cell right of gamma;
-- the values of discrete solutions at the Gauss nodes, from the
-  per-cell coefficients C c, for error measurement.
+- the values of discrete solutions, from the per-cell coefficients
+  C c: at the Gauss nodes for error measurement, and at any point for
+  `evaluate_solution`, which reads a point on a mesh edge from the cell
+  to its left (from the first cell at x = 0).
 a and f are read at a QUAD_NODES-point Gauss rule per cell, exact for
 the polynomial part.  Summing A over cells, not over Gauss nodes, keeps
 its entries within 5e-15 sqrt(A_ii A_jj) of a long-double sum of the
-same quadrature (3.6e-13 when summed node by node).  `evaluate_solution`
-reads the tables at arbitrary points instead, with the breakpoint
-convention of `PiecewisePolynomial.evaluate_array`.  Everything reads
+same quadrature (3.6e-13 when summed node by node).  Everything reads
 the basis's float tables (`EnrichedBasis.breaks` and `coeffs`, gathered
 from the system's per-family tables), never the exact polynomials that
 `basis[i]` builds on access.
@@ -80,6 +80,10 @@ __all__ = [
 ]
 
 QUAD_NODES = 10
+
+# relative tolerance of the Lanczos eigenvalue estimates in
+# `condition_number`; kappa's 7th significant digit is noise at this value
+KAPPA_TOL = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -186,58 +190,6 @@ class DiscreteSolution:
     def __post_init__(self):
         if len(self.coefficients) != len(self.basis):
             raise ValueError("coefficient count does not match basis size")
-
-
-def _point_operator(basis, x, gamma):
-    """Sparse len(x) x N matrices (V, D) of basis values and derivatives at x.
-
-    Each function follows `PiecewisePolynomial.evaluate_array`: the left
-    limit at interior breakpoints and at the right end of its support, the
-    right limit at its left end, and zero outside the support.  The one
-    exception is the largest float below gamma (None for none): when gamma
-    lies one ulp right of a breakpoint, that breakpoint is the only point
-    of the mesh cell between the two, so it is read as that cell is, from
-    its right.
-    """
-    x = np.asarray(x, dtype=float)
-    breaks, coeffs = basis.breaks, basis.coeffs
-    n, width = breaks.shape
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    nb = np.isfinite(breaks).sum(axis=1)
-    i0 = np.searchsorted(xs, breaks[:, 0], side="left")
-    i1 = np.searchsorted(xs, breaks[np.arange(n), nb - 1], side="right")
-    count = i1 - i0
-    indptr = np.concatenate([[0], np.cumsum(count)])
-    # one entry per (function, point in its closed support), grouped by function
-    f = np.repeat(np.arange(n), count)
-    pos = np.arange(indptr[-1]) + np.repeat(i0 - indptr[:-1], count)
-    xp = xs[pos]
-    piece = np.zeros(len(f), dtype=np.intp)
-    for k in range(1, width - 1):  # breakpoints strictly below x, past the first
-        piece += breaks[f, k] < xp
-    past_end = []  # entries stepped past the right end of their support
-    if gamma is not None:
-        edge = np.nextafter(gamma, -np.inf)
-        i = np.searchsorted(xs, edge)
-        if i < len(xs) and xs[i] == edge:
-            step = (xp == edge) & (breaks[f, piece + 1] == edge)
-            end = step & (piece + 2 == nb[f])
-            piece += step & ~end
-            past_end = np.flatnonzero(end)
-    t = xp - breaks[f, piece]
-    c = coeffs[f, piece]
-    val = c[:, -1].copy()
-    der = np.zeros_like(t)
-    for d in range(c.shape[1] - 2, -1, -1):
-        der = der * t + val
-        val = val * t + c[:, d]
-    val[past_end] = der[past_end] = 0.0
-    shape = (len(x), n)
-    rows = order[pos]
-    V = scipy.sparse.csc_matrix((val, rows, indptr), shape=shape)
-    D = scipy.sparse.csc_matrix((der, rows, indptr), shape=shape)
-    return V, D
 
 
 def _graded_mesh(basis, gamma=None):
@@ -441,14 +393,14 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     return DiscreteSolution(c, system.basis, system.form)
 
 
-def condition_number(A, tol: float = 1e-4) -> float:
+def condition_number(A) -> float:
     """kappa = lambda_max / lambda_min of an SPD matrix.
 
     Small matrices use a direct symmetric eigensolve; larger ones use
-    Lanczos with a deterministic start vector (largest eigenvalue
-    directly, smallest via shift-invert at zero, inverting with the
-    factor of `_spd_factor`; SuperLU's default column ordering fills the
-    factor of a multilevel matrix badly).
+    Lanczos with a deterministic start vector and relative tolerance
+    KAPPA_TOL (largest eigenvalue directly, smallest via shift-invert at
+    zero, inverting with the factor of `_spd_factor`; SuperLU's default
+    column ordering fills the factor of a multilevel matrix badly).
     """
     n = A.shape[0]
     if n <= 3:
@@ -459,10 +411,10 @@ def condition_number(A, tol: float = 1e-4) -> float:
     lu = _spd_factor(As)
     try:
         lmax = scipy.sparse.linalg.eigsh(
-            As, k=1, which="LA", tol=tol, v0=v0, return_eigenvectors=False
+            As, k=1, which="LA", tol=KAPPA_TOL, v0=v0, return_eigenvectors=False
         )[0]
         lmin = scipy.sparse.linalg.eigsh(
-            As, k=1, sigma=0.0, which="LM", tol=tol, v0=v0, return_eigenvectors=False,
+            As, k=1, sigma=0.0, which="LM", tol=KAPPA_TOL, v0=v0, return_eigenvectors=False,
             OPinv=scipy.sparse.linalg.LinearOperator(As.shape, matvec=lu.solve, dtype=float),
         )[0]
     except Exception as e:  # scipy raises several unrelated types here
@@ -473,14 +425,31 @@ def condition_number(A, tol: float = 1e-4) -> float:
 
 
 def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise values and derivative values of u_J = sum c_i eta_i."""
+    """Pointwise values and derivative values of u_J = sum c_i eta_i.
+
+    Reads the per-cell coefficients C c on the graded mesh of `sol.form`
+    (or of the basis split at its own gamma), as error measurement does.
+    A point on a mesh edge reads the cell to its left, except x = 0,
+    which reads the first cell: u_J is continuous, so only the derivative
+    depends on this, and there it is the left limit (the right limit at 0).
+    """
     x = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot evaluate at non-finite points")
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation grid must lie in [0, 1]")
-    V, D = _point_operator(sol.basis, x, sol.basis.gamma)
-    return V @ sol.coefficients, D @ sol.coefficients
+    form = sol.form if sol.form is not None else _cell_form(sol.basis, sol.basis.gamma)
+    edges = form.edges
+    U = (form.C @ sol.coefficients).reshape(len(edges) - 1, -1)
+    cell = np.clip(np.searchsorted(edges, x) - 1, 0, len(edges) - 2)
+    h = edges[cell + 1] - edges[cell]
+    t = (x - edges[cell]) / h
+    c = U[cell]
+    val, der = c[..., -1], np.zeros_like(t)
+    for n in range(U.shape[1] - 2, -1, -1):
+        der = der * t + val
+        val = val * t + c[..., n]
+    return val, der / h
 
 
 def export_matrix_market(obj, path) -> None:

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -352,51 +352,28 @@ def _overlap_grid(p: PiecewisePolynomial, q: PiecewisePolynomial, extra=()) -> l
         return []
     pts = {b for b in p.breakpoints if lo <= b <= hi}
     pts |= {b for b in q.breakpoints if lo <= b <= hi}
+    pts |= {e for e in extra if lo < e < hi}
     pts |= {lo, hi}
-    for e in extra:
-        if lo < e < hi:
-            pts.add(Fraction(e))
     return sorted(pts)
 
 
 def inner_product(
     p: PiecewisePolynomial,
     q: PiecewisePolynomial,
-    weight: "PiecewisePolynomial | Callable | None" = None,
-    gamma: float | None = None,
+    weight: PiecewisePolynomial | None = None,
 ) -> float | Fraction:
-    """Integral of p * q, optionally against a weight.
+    """Integral of p * q, optionally against a piecewise polynomial weight.
 
-    With no weight, or a PiecewisePolynomial weight, the integral is
-    computed exactly (closed-form integration of the local products).  A
-    callable weight is integrated with a composite 10-node Gauss-Legendre
-    rule per sub-cell, where the sub-cells come from both operands'
-    breakpoints, split at `gamma` when given.  p and q are evaluated from
-    their coefficients about the sub-cell's left end, and the weight at
-    nodes clipped into the sub-cell, so a sub-cell a few ulps wide still
-    sees its own pieces and its own side of gamma.
+    Computed in closed form on each cell between the breakpoints of p, q
+    and the weight, from the product of the local coefficients; exact
+    when every coefficient is a Fraction.
     """
-    if weight is None or isinstance(weight, PiecewisePolynomial):
-        pts = _overlap_grid(p, q)
-        total = 0
-        for a, b in zip(pts[:-1], pts[1:]):
-            prod = _poly_mul(p._local_coeffs(a), q._local_coeffs(a))
-            if weight is not None:
-                prod = _poly_mul(prod, weight._local_coeffs(a))
-            h = b - a
-            total += sum(c * h ** (n + 1) / (n + 1) for n, c in enumerate(prod))
-        return total
-
-    pts = _overlap_grid(p, q, extra=(gamma,) if gamma is not None else ())
-    if not pts:
-        return 0.0
-    xs, ws = gauss_rule(10)
-    total = 0.0
+    pts = _overlap_grid(p, q, extra=() if weight is None else weight.breakpoints)
+    total = 0
     for a, b in zip(pts[:-1], pts[1:]):
-        af, bf, h = float(a), float(b), float(b - a)
-        t = h * xs
-        pq = np.polyval([float(c) for c in reversed(p._local_coeffs(a))], t)
-        pq *= np.polyval([float(c) for c in reversed(q._local_coeffs(a))], t)
-        x = np.clip(af + t, np.nextafter(af, bf), np.nextafter(bf, af))
-        total += h * float(np.dot(ws, pq * np.asarray(weight(x), dtype=float)))
+        prod = _poly_mul(p._local_coeffs(a), q._local_coeffs(a))
+        if weight is not None:
+            prod = _poly_mul(prod, weight._local_coeffs(a))
+        h = b - a
+        total += sum(c * h ** (n + 1) / (n + 1) for n, c in enumerate(prod))
     return total

@@ -17,8 +17,9 @@ from wavegal.galerkin import (
     InterfaceProblem,
     LinearSystem,
     SolverError,
+    _cell_form,
+    _cell_values,
     _graded_mesh,
-    _point_operator,
     _piecewise_call,
     _stiffness_product,
     _structural_zeros,
@@ -153,42 +154,54 @@ class TestStiffness:
         assert d.min() > 0.5 and d.max() < 10.0
 
 
-def reference_system(basis, problem):
-    """A and b entry by entry from the per-pair Gauss rule of inner_product."""
-    n = len(basis)
-    ders = [bf.primal.derivative() for bf in basis]
-    one = PiecewisePolynomial([0, 1], [(1,)])
+def exact(p):
+    """p with every coefficient a Fraction, the exact value of its float."""
+    return PiecewisePolynomial(p.breakpoints, [[Fraction(c) for c in piece] for piece in p.pieces])
+
+
+def exact_system(basis, gamma, contrast, g):
+    """A and b in exact arithmetic, rounded once, for a = 1 | contrast and
+    f = 1 + x | 1 - x^2/2 split at gamma.  The breakpoints, coefficients,
+    gamma and contrast are all dyadic floats, so every integral is exact."""
+    G = Fraction(gamma)
+    a = PiecewisePolynomial([0, G, 1], [(1,), (Fraction(contrast),)])
+    # each piece about its left end: 1 - (G + s)^2/2 = 1 - G^2/2 - G s - s^2/2
+    f = PiecewisePolynomial([0, G, 1], [(1, 1), (1 - G**2 / 2, -G, Fraction(-1, 2))])
+    fs = [exact(bf.primal) for bf in basis]
+    ders = [q.derivative() for q in fs]
+    n = len(fs)
     A = np.zeros((n, n))
-    b = np.zeros(n)
-    for i, bi in enumerate(basis):
-        b[i] = inner_product(bi.primal, one, weight=problem.f, gamma=problem.gamma)
-        b[i] -= problem.g_gamma * bi.primal(problem.gamma)
+    b = np.array([float(inner_product(q, f) - Fraction(g) * q.evaluate(G)) for q in fs])
+    for i in range(n):
         for j in range(i, n):
-            if bi.support.intersects(basis[j].support):
-                A[i, j] = A[j, i] = inner_product(
-                    ders[i], ders[j], weight=problem.a, gamma=problem.gamma
-                )
+            if fs[i].support.intersects(fs[j].support):
+                A[i, j] = A[j, i] = inner_product(ders[i], ders[j], a)
     return A, b
 
 
-def assert_matches_reference(basis, problem, rtol=1e-12):
+def assert_matches_reference(basis, problem, A_ref, b_ref):
     A = assemble_stiffness(basis, problem).toarray()
     b = assemble_load(basis, problem)
-    A_ref, b_ref = reference_system(basis, problem)
     d = np.sqrt(np.outer(np.diag(A_ref), np.diag(A_ref)))
-    assert np.all(np.abs(A - A_ref) <= rtol * d)
-    assert np.all(np.abs(b - b_ref) <= 1e-12 * np.abs(b_ref).max())
+    assert np.all(np.abs(A - A_ref) <= 1e-14 * d)
+    assert np.all(np.abs(b - b_ref) <= 1e-14 * np.abs(b_ref).max())
     assert np.array_equal(A, A.T)
     assert np.all(np.diag(A) > 0.0)
-    apart = np.array([[not p.support.intersects(q.support) for q in basis] for p in basis])
-    assert np.all(A[apart] == 0.0)
+    lo, hi = support_ends(basis)
+    assert np.all(A[(lo[:, None] >= hi) | (lo >= hi[:, None])] == 0.0)
 
 
 class TestAgainstPairwiseQuadrature:
+    """Assembly against two references: exact rational integrals where a
+    and f are polynomial on each side of gamma, and the long-double point
+    form for the built-in problems."""
+
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_builtin_problems(self, sys2, name):
         p = builtin_problem(name)
-        assert_matches_reference(enriched_basis(sys2, 2, 4, p.gamma), p)
+        basis = enriched_basis(sys2, 2, 4, p.gamma)
+        A_ref, b_ref = point_form(basis, p)
+        assert_matches_reference(basis, p, A_ref.toarray(), b_ref)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -212,13 +225,13 @@ class TestAgainstPairwiseQuadrature:
             a_minus=const(1.0),
             a_plus=const(contrast),
             f_minus=lambda x: 1.0 + np.asarray(x),
-            f_plus=lambda x: np.cos(np.asarray(x)),
+            f_plus=lambda x: 1.0 - np.asarray(x) ** 2 / 2,
             g_gamma=g,
         )
-        # within 1e-15 of a breakpoint, gamma leaves a cell a few ulps wide;
-        # both rules keep its nodes inside it and on its side of gamma, and
-        # a cell one ulp wide left of gamma is read from its breakpoint's right
-        assert_matches_reference(enriched_basis(sys2, 2, 3, gamma), p)
+        # within 1e-15 of a breakpoint, gamma leaves a cell a few ulps wide,
+        # whose nodes the assembly keeps inside it and on its side of gamma
+        basis = enriched_basis(sys2, 2, 3, gamma)
+        assert_matches_reference(basis, p, *exact_system(basis, gamma, contrast, g))
 
     def test_truncated_basis_one_ulp_right_of_breakpoint(self, sys2):
         # a truncated basis has no gamma of its own: the one-ulp cell
@@ -237,14 +250,50 @@ def full_stiffness(basis, problem):
     return _stiffness_product(problem, edges, x, _synthesis(basis, edges))
 
 
+def point_values(basis, x):
+    """Sparse len(x) x N matrices (V, D) of basis values and derivatives at x,
+    each function read by `evaluate_array` on the points of its closed
+    support.  Functions alike up to a translation share one
+    `PiecewisePolynomial`, built from their row of the float tables and
+    moved to start at 0.  For x in [0, 1] and lo <= x a dyadic of
+    denominator at most 2^52, x - lo is exact, so every point is read bit
+    for bit as the function's own `PiecewisePolynomial` would read it."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n = len(basis)
+    nb = np.isfinite(basis.breaks).sum(axis=1)
+    lo, hi = support_ends(basis)
+    i0, i1 = np.searchsorted(xs, lo, side="left"), np.searchsorted(xs, hi, side="right")
+    count = i1 - i0
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    # one entry per (function, point in its closed support), grouped by function
+    f = np.repeat(np.arange(n), count)
+    pos = np.arange(indptr[-1]) + np.repeat(i0 - indptr[:-1], count)
+    rel = basis.breaks - lo[:, None]
+    key = np.concatenate([rel, basis.coeffs.reshape(n, -1)], axis=1)
+    first, kind = np.unique(key, axis=0, return_index=True, return_inverse=True)[1:]
+    by_kind = np.argsort(kind[f], kind="stable")
+    ends = np.searchsorted(kind[f][by_kind], np.arange(len(first) + 1))
+    val, der = np.empty(len(f)), np.empty(len(f))
+    for i, a, b in zip(first, ends[:-1], ends[1:]):
+        p = PiecewisePolynomial(rel[i, : nb[i]], basis.coeffs[i, : nb[i] - 1])
+        e = by_kind[a:b]
+        t = xs[pos[e]] - lo[f[e]]
+        val[e], der[e] = p.evaluate_array(t), p.derivative().evaluate_array(t)
+    shape = (len(x), n)
+    return (scipy.sparse.csc_matrix((m, order[pos], indptr), shape=shape) for m in (val, der))
+
+
 def point_form(basis, problem):
     """A = D^T diag(w a) D and b = V^T (w f) - g_gamma V(gamma) from the basis
     values V and derivatives D at the QUAD_NODES Gauss nodes of every cell,
-    summed in long double."""
+    summed in long double.  A node on a breakpoint is read from the left,
+    so this does not model a cell one ulp wide (gamma one ulp right of a
+    breakpoint), whose nodes lie on its left edge."""
     _, x, w = _graded_mesh(basis, problem.gamma)
     x, w = x.ravel(), w.ravel().astype(np.longdouble)
-    V, D = (M.tocsr().astype(np.longdouble) for M in _point_operator(basis, x, problem.gamma))
-    Vg, _ = _point_operator(basis, [problem.gamma], problem.gamma)
+    V, D = (M.tocsr().astype(np.longdouble) for M in point_values(basis, x))
+    Vg, _ = point_values(basis, np.array([problem.gamma]))
     A = (D.T @ scipy.sparse.diags(w * problem.a(x)) @ D).tocsr()
     b = V.T @ (w * problem.f(x)) - problem.g_gamma * Vg.toarray().ravel()
     return A, b
@@ -533,6 +582,14 @@ class TestConditionNumber:
         assert condition_number(A) == pytest.approx(400.0, rel=1e-3)
 
 
+def mesh_derivative(f, x):
+    """f' at x as `evaluate_solution` reads it: from the left, except at 0.
+    This is evaluate_array's reading of the derivative except at the left
+    end of f's support, where the left limit is 0."""
+    d = f.derivative().evaluate_array(x)
+    return np.where((x == float(f.support.lo)) & (x > 0.0), 0.0, d)
+
+
 class TestEvaluateSolution:
     def test_zero_coefficients(self, sys2):
         eb = enriched_basis(sys2, 2, 3, 0.3)
@@ -548,30 +605,40 @@ class TestEvaluateSolution:
         xs = np.linspace(0, 1, 29)
         v, d = evaluate_solution(sol, xs)
         assert v == pytest.approx(2.0 * eb[5].primal.evaluate_array(xs), abs=1e-14)
-        dref = eb[5].primal.derivative().evaluate_array(xs)
-        assert d == pytest.approx(2.0 * dref, abs=1e-14)
+        assert d == pytest.approx(2.0 * mesh_derivative(eb[5].primal, xs), abs=1e-14)
 
     def test_breakpoint_convention(self, sys2):
-        # left limit at interior breakpoints and at the right end of the
-        # support, right limit at its left end, as in evaluate_array
+        # values are continuous; at a mesh edge the derivative is the left
+        # limit, which evaluate_array reads the same way everywhere but at
+        # the left end of a support
         eb = enriched_basis(sys2, 2, 3, 0.3)
-        xs = np.unique([float(b) for bf in eb for b in bf.primal.breakpoints])
+        xs = _cell_form(eb, 0.3).edges
         for i, bf in enumerate(eb):
             c = np.zeros(eb.N)
             c[i] = 1.0
             v, d = evaluate_solution(DiscreteSolution(c, eb), xs)
             assert v == pytest.approx(bf.primal.evaluate_array(xs), abs=1e-14)
-            assert d == pytest.approx(bf.primal.derivative().evaluate_array(xs), abs=1e-14)
+            assert d == pytest.approx(mesh_derivative(bf.primal, xs), abs=1e-14)
 
     def test_breakpoint_one_ulp_left_of_gamma(self, sys2):
-        # the only point of the cell [1/2, gamma] reads every function's
-        # piece to its right: zero past a support's end, slope unchanged
+        # 1/2 reads the cell left of it, and gamma the cell [1/2, gamma] one
+        # ulp wide, whose pieces are those right of 1/2
         g = 0.5 + 2.0**-53
         eb = enriched_basis(sys2, 2, 3, g)
+        xs = np.array([0.5 - 2.0**-40, 0.5, g, 0.5 + 2.0**-40])
         for c in np.eye(eb.N):
-            v, d = evaluate_solution(DiscreteSolution(c, eb), np.array([0.5, 0.5 + 2.0**-40]))
-            assert d[0] == d[1]
-            assert v[0] == pytest.approx(v[1], abs=1e-10)
+            v, d = evaluate_solution(DiscreteSolution(c, eb), xs)
+            assert d[0] == d[1] and d[2] == pytest.approx(d[3], rel=1e-15)
+            assert v == pytest.approx(v[1], abs=1e-10)
+
+    def test_matches_cell_values_at_gauss_nodes(self, sys2):
+        # the values error measurement reads, from the same C c
+        p = builtin_problem("ex2")
+        sol = solve(assemble(enriched_basis(sys2, 2, 8, p.gamma), p))
+        v, d = evaluate_solution(sol, sol.form.x.ravel())
+        cv, cd = (m.ravel() for m in _cell_values(sol.form.C, sol.form.edges, sol.coefficients))
+        assert np.all(np.abs(v - cv) <= 1e-15 * np.abs(cv).max())
+        assert np.all(np.abs(d - cd) <= 1e-15 * np.abs(cd).max())
 
     def test_unsorted_grid(self, sys2):
         eb = enriched_basis(sys2, 2, 3, 0.3)

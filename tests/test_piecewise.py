@@ -169,20 +169,19 @@ class TestInnerProduct:
         rhs = 2.5 * inner_product(p, s) + inner_product(q, s)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_callable_weight_splits_at_gamma(self):
+    def test_weight_breakpoints_split_cells(self):
         one = PiecewisePolynomial([0, 1], [(Fraction(1),)])
-        w = lambda x: np.where(x < 0.5, 1.0, 3.0)
-        v = inner_product(one, one, weight=w, gamma=0.5)
-        assert v == pytest.approx(2.0, rel=1e-12)
+        w = PiecewisePolynomial([0, Fraction(1, 2), 1], [(1,), (3,)])
+        assert inner_product(one, one, w) == 2
 
-    def test_callable_weight_on_a_cell_a_few_ulps_wide(self):
-        # gamma four ulps right of the breakpoint 1/2 of p leaves the cell
-        # [1/2, gamma], where p' = -4, q' = 4 and the weight is high
-        g = 0.5 + 4 * 2.0**-53
+    def test_weight_on_a_cell_a_few_ulps_wide(self):
+        # the weight's breakpoint four ulps right of the breakpoint 1/2 of p
+        # leaves the cell [1/2, g], where p' = -4, q' = 4 and the weight is high
+        g = Fraction(0.5 + 4 * 2.0**-53)
         p, q = hat(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), hat(Fraction(1, 2), Fraction(3, 4), 1)
-        w = lambda x: np.where(np.asarray(x) < g, 1e6, 1.0)
-        v = inner_product(p.derivative(), q.derivative(), weight=w, gamma=g)
-        assert v == pytest.approx(-16.0 * (1e6 * (g - 0.5) + (0.75 - g)), rel=1e-14)
+        w = PiecewisePolynomial([0, g, 1], [(10**6,), (1,)])
+        v = inner_product(p.derivative(), q.derivative(), w)
+        assert v == -16 * (10**6 * (g - Fraction(1, 2)) + (Fraction(3, 4) - g))
 
 
 class TestMoment:
