@@ -152,7 +152,8 @@ def run(cfg: ExperimentConfig, log=None) -> list:
             basis = truncated_basis(sysdef, sysdef.J0, J)
         system = assemble(basis, problem)
         sol = solve(system)
-        kappa = condition_number(system.A)
+        kappa = condition_number(system.A, system.factor)
+        system.factor = None  # as large as A's fill: free it before measuring errors
         pair = error_norms(sol, problem, gamma=problem.gamma)
         records.append(ConvergenceRecord(J, basis.N, kappa, pair.E_L2, pair.E_H1))
         if log:

@@ -47,8 +47,9 @@ nothing it cannot prove for higher-order systems either.
 
 A is sparse and SPD, so `solve` factors it once (`_spd_factor`: SuperLU
 with a minimum-degree ordering of A^T + A and diagonal pivots only, a
-sparse Cholesky factorization up to the scaling of its rows), and
-`condition_number` inverts with the same factor.
+sparse Cholesky factorization up to the scaling of its rows) and keeps
+the factor on the system, and `condition_number` inverts with that same
+factor when it is passed in.
 """
 
 from __future__ import annotations
@@ -179,6 +180,9 @@ class LinearSystem:
     b: np.ndarray
     basis: EnrichedBasis
     form: _CellForm | None = field(default=None, repr=False)
+    # A's SPD factor, set by `solve` for `condition_number` to reuse; it is
+    # as large as A's fill, so a caller drops it once kappa is known
+    factor: scipy.sparse.linalg.SuperLU | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -388,19 +392,22 @@ def _spd_factor(A):
 
 
 def solve(system: LinearSystem) -> DiscreteSolution:
-    """Solve A c = b by one sparse SPD factorization of A."""
-    c = _spd_factor(system.A).solve(np.asarray(system.b, dtype=float))
+    """Solve A c = b by one sparse SPD factorization of A, which is kept
+    as `system.factor`."""
+    system.factor = _spd_factor(system.A)
+    c = system.factor.solve(np.asarray(system.b, dtype=float))
     return DiscreteSolution(c, system.basis, system.form)
 
 
-def condition_number(A) -> float:
+def condition_number(A, factor=None) -> float:
     """kappa = lambda_max / lambda_min of an SPD matrix.
 
     Small matrices use a direct symmetric eigensolve; larger ones use
     Lanczos with a deterministic start vector and relative tolerance
     KAPPA_TOL (largest eigenvalue directly, smallest via shift-invert at
-    zero, inverting with the factor of `_spd_factor`; SuperLU's default
-    column ordering fills the factor of a multilevel matrix badly).
+    zero, inverting with `factor`, the `_spd_factor` of A, which is made
+    here when not given; SuperLU's default column ordering fills the
+    factor of a multilevel matrix badly).
     """
     n = A.shape[0]
     if n <= 3:
@@ -408,7 +415,7 @@ def condition_number(A) -> float:
         return float(w[-1] / w[0])
     As = scipy.sparse.csc_matrix(A)
     v0 = np.ones(n) / np.sqrt(n)
-    lu = _spd_factor(As)
+    lu = factor if factor is not None else _spd_factor(As)
     try:
         lmax = scipy.sparse.linalg.eigsh(
             As, k=1, which="LA", tol=KAPPA_TOL, v0=v0, return_eigenvectors=False

@@ -16,6 +16,16 @@ it is itself a folded expression with parseable text.  Whenever the
 sources are given and no exact solution is, u is built by quadrature of
 the flux a u' = C - int_0^x f + g [x > gamma], with C fixed by u(1) = 0,
 so every problem has an exact u to measure errors against.
+
+The quadrature runs once, when the problem is built: a nested Gauss rule
+on _FLUX_CELLS cells per side of gamma fills a table of per-cell
+Chebyshev interpolants of u and u', each checked against the rule to
+_TABLE_TOL of the side's largest |u| and |u'|.  A cell that fails is
+halved, at most _TABLE_DEPTH times and up to _TABLE_CELLS cells per
+side; past either limit, or where the rule is not finite, the problem
+is refused with ExpressionError, naming the side and the cell.  u and
+u' are then read from the table: one searchsorted and one Clenshaw
+pass.
 """
 
 from __future__ import annotations
@@ -92,24 +102,66 @@ def _manufactured_source(a: Expression, u: Expression) -> Expression:
     return -(a * u.diff()).diff()
 
 
-# flux quadrature: mesh cells per side of gamma, Gauss nodes per cell (and
-# per sub-interval of the nested rule for F), query points per block
-_FLUX_CELLS, _FLUX_NODES, _FLUX_BLOCK = 32, 10, 4096
+# flux quadrature: the nested rule's mesh cells per side of gamma and its
+# Gauss nodes per cell (and per sub-interval for F); the table's Chebyshev
+# degree, its check tolerance relative to the side's max |u| and max |u'|,
+# and the most times a table cell is halved, and the most cells a side may
+# have, before the problem is refused
+_FLUX_CELLS, _FLUX_NODES = 32, 10
+_TABLE_DEGREE, _TABLE_TOL, _TABLE_DEPTH, _TABLE_CELLS = 16, 1e-14, 30, 512
+
+
+def _refuse(side, lo, hi, why):
+    """Raise ExpressionError naming the side and its leftmost failing cell."""
+    i = np.argmin(lo)
+    raise ExpressionError(f"flux quadrature of the {side} side: {why} on [{lo[i]:.17g}, {hi[i]:.17g}]")
+
+
+def _local(x, lo, hi):
+    """x in [lo, hi] as s in [-1, 1], from the offset x - lo: its rounding
+    is relative to the cell's width, not to x."""
+    return 2 * ((x - lo) / (hi - lo)) - 1
+
+
+def _clenshaw(c, s, k):
+    """(u, u') = sum_j c[j, k] T_j(s), shape (2,) + s.shape, by Clenshaw's
+    recurrence: c holds the Chebyshev coefficients (degree + 1, cells, 2)
+    of u and u' per cell, and k (broadcasting against s) the cell of each
+    s.  The coefficients are gathered one degree at a time, so no
+    (points x degree) array is formed."""
+    k, s = np.broadcast_to(k, s.shape), s[..., None]
+    s2 = 2 * s
+    b1 = b2 = 0.0
+    for cj in c[:0:-1]:
+        b = np.take(cj, k, axis=0)
+        b += s2 * b1
+        b -= b2
+        b1, b2 = b, b1
+    b = np.take(c[0], k, axis=0)
+    b += s * b1
+    b -= b2
+    return np.moveaxis(b, -1, 0)
 
 
 class _FluxSide:
     """u and u' on one side of gamma from the flux a u' = C - F~, where
     F~ = int_0^x f - g [x > gamma]: u = C P - Q with P = int 1/a and
-    Q = int F~/a, cumulated on a fixed mesh from the side's left end and
-    completed from the mesh node at or before each query point.  C is set
-    once both sides are cumulated."""
+    Q = int F~/a.
+
+    The nested rule cumulates F, P and Q on a fixed mesh from the side's
+    left end; P and Q are kept as the side's totals, which fix C.
+    `tabulate` then cumulates u itself, int (C - F~)/a, which does not
+    cancel where |C P| >> |u|; `rule` completes F and u from the mesh node
+    at or before a query point.  `tabulate` fits each cell a Chebyshev
+    interpolant of the rule's (u, u'), and calling the side evaluates
+    that table."""
 
     def __init__(self, a, f, lo, hi, F0):
         self.a, self.f, self.x = a, f, np.linspace(lo, hi, _FLUX_CELLS + 1)
-        dF, dP, G = self._steps(self.x[:-1], self.x[1:])
+        dF, self.dP, self.G = self._steps(self.x[:-1], self.x[1:])
         self.F = F0 + np.concatenate([[0.0], np.cumsum(dF)])
-        self.P = np.concatenate([[0.0], np.cumsum(dP)])
-        self.Q = np.concatenate([[0.0], np.cumsum(self.F[:-1] * dP + G)])
+        self.P = np.cumsum(self.dP)[-1]
+        self.Q = np.cumsum(self.F[:-1] * self.dP + self.G)[-1]
 
     def _steps(self, lo, x):
         """int_lo^x of f, of 1/a and of (int_lo^s f) / a ds, elementwise."""
@@ -119,28 +171,86 @@ class _FluxSide:
         s, hw = lo[:, None] + h, (x - lo)[:, None] * w
         return (hw * self.f(s)).sum(-1), (hw / self.a(s)).sum(-1), (hw * F / self.a(s)).sum(-1)
 
+    def rule(self, x):
+        """(u, u') at the points x (1-d) by the nested rule."""
+        k = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, _FLUX_CELLS - 1)
+        dF, dP, G = self._steps(self.x[k], x)
+        flux = self.C - self.F[k]
+        return np.array([self.U[k] + flux * dP - G, (flux - dF) / self.a(x)])
+
+    def tabulate(self, C, side, end):
+        """Set C, cumulate u so that it vanishes at mesh node `end`, and fit
+        the table from the rule, starting from the rule's cells.
+
+        Each cell interpolates the rule's u and u' at _TABLE_DEGREE + 1
+        Chebyshev points, and is checked against it at its _FLUX_NODES
+        Gauss nodes and both ends, to _TABLE_TOL times the largest |u| and
+        |u'| the rule gave on this side.  A cell that fails is halved.
+        ExpressionError is raised when a cell still fails after
+        _TABLE_DEPTH halvings, when halving would take the side past
+        _TABLE_CELLS cells, or when the rule gives a value that is not
+        finite (a source singular at a cell's end).
+        """
+        self.C = C
+        U = np.concatenate([[0.0], np.cumsum((C - self.F[:-1]) * self.dP - self.G)])
+        self.U = U - U[end]
+        n = _TABLE_DEGREE + 1
+        tg, _ = gauss_rule(_FLUX_NODES)
+        t = np.concatenate([(1 - np.cos(np.pi * (np.arange(n) + 0.5) / n)) / 2, tg])
+        lo, hi = self.x[:-1], self.x[1:]
+        scale, done, kept = np.zeros((2, 1)), [], 0
+        for depth in range(_TABLE_DEPTH + 1):
+            x = np.column_stack([lo[:, None] + (hi - lo)[:, None] * t, lo, hi])
+            with np.errstate(all="ignore"):  # a singular source is refused below
+                vals = self.rule(x.ravel()).reshape(2, len(lo), -1)
+            finite = np.all(np.isfinite(vals), axis=(0, 2))
+            if not finite.all():
+                _refuse(side, lo[~finite], hi[~finite], "the rule is not finite")
+            scale = np.maximum(scale, np.abs(vals).max(axis=(1, 2))[:, None])
+            # interpolate at the points as rounded, located as __call__ locates them
+            s = _local(x, lo[:, None], hi[:, None])
+            V = np.polynomial.chebyshev.chebvander(s[:, :n], _TABLE_DEGREE)
+            c = np.linalg.solve(V, np.moveaxis(vals[..., :n], 0, -1)).transpose(1, 0, 2)
+            err = np.abs(_clenshaw(c, s[:, n:], np.arange(len(lo))[:, None]) - vals[..., n:])
+            ok = np.all(err.max(axis=2) <= _TABLE_TOL * scale, axis=0)
+            done.append((lo[ok], hi[ok], c[:, ok]))
+            kept += np.count_nonzero(ok)
+            lo, hi = lo[~ok], hi[~ok]
+            if not len(lo):
+                break
+            why = f"the table misses the rule by more than {_TABLE_TOL:g} of its max |u| or |u'|"
+            if depth == _TABLE_DEPTH:
+                _refuse(side, lo, hi, f"{why} after {_TABLE_DEPTH} halvings")
+            if kept + 2 * len(lo) > _TABLE_CELLS:
+                _refuse(side, lo, hi, f"{why} with {_TABLE_CELLS} cells")
+            mid = (lo + hi) / 2
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        lo, hi, c = zip(*done)
+        lo, hi, c = np.concatenate(lo), np.concatenate(hi), np.concatenate(c, axis=1)
+        order = np.argsort(lo)
+        self.edges, self.coef = np.append(lo[order], hi[order[-1]]), c[:, order]
+
     def __call__(self, x):
-        """(u, u') at x."""
+        """(u, u') at x from the table; a point outside the side extrapolates
+        the polynomial of the end cell nearest it."""
         x = np.asarray(x, dtype=float)
-        out = []
-        for xs in np.array_split(x.ravel(), x.size // _FLUX_BLOCK + 1):
-            k = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, _FLUX_CELLS - 1)
-            dF, dP, G = self._steps(self.x[k], xs)
-            P, Q = self.P[k] + dP, self.Q[k] + self.F[k] * dP + G
-            out.append((self.C * P - Q, (self.C - self.F[k] - dF) / self.a(xs)))
-        return np.concatenate(out, axis=1).reshape((2,) + x.shape)
+        xs = x.ravel()
+        k = np.clip(np.searchsorted(self.edges, xs, side="right") - 1, 0, len(self.edges) - 2)
+        s = _local(xs, self.edges[k], self.edges[k + 1])
+        return _clenshaw(self.coef, s, k).reshape((2,) + x.shape)
 
 
 def _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma) -> ExactSolution:
     """The exact solution of a problem given by its sources, by quadrature.
 
-    P and Q vanish at 0 on the left side and at 1 on the right, so u meets
-    both boundary conditions and neither side carries the other's
+    u is cumulated from 0 on the left side and from 1 on the right, so it
+    meets both boundary conditions and neither side carries the other's
     magnitude; C makes u continuous at gamma."""
     left = _FluxSide(a_minus, f_minus, 0.0, gamma, 0.0)
     right = _FluxSide(a_plus, f_plus, gamma, 1.0, left.F[-1] - g_gamma)
-    right.P, right.Q = right.P - right.P[-1], right.Q - right.Q[-1]
-    left.C = right.C = (left.Q[-1] - right.Q[0]) / (left.P[-1] - right.P[0])
+    C = (left.Q + right.Q) / (left.P + right.P)
+    left.tabulate(C, "left (0 < x < gamma)", 0)
+    right.tabulate(C, "right (gamma < x < 1)", -1)
     return _FluxSolution(lambda x: left(x)[0], lambda x: right(x)[0],
                          lambda x: left(x)[1], lambda x: right(x)[1], left, right)
 

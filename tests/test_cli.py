@@ -163,6 +163,32 @@ class TestExitCodes:
         )
         assert main(["--config", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("f_minus, why", [
+        # a sqrt-like singularity off 0: the rule is finite but needs far more
+        # halvings than the depth cap allows
+        ("1/sqrt(x + 1e-30)", "after 30 halvings"),
+        # singular at 0 itself, where the table is checked
+        ("1/sqrt(x)", "not finite"),
+    ])
+    def test_unresolvable_flux_table_is_config_error(self, tmp_path, capsys, f_minus, why):
+        path = write_config(
+            tmp_path,
+            f"""
+            [experiment]
+            jmax = 3
+            [problem]
+            gamma = 0.5
+            a_minus = 1
+            a_plus = 1
+            f_minus = {f_minus}
+            f_plus = 1
+            g_gamma = 0
+            """,
+        )
+        assert main(["--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "left (0 < x < gamma) side" in err and why in err and "on [0, " in err
+
     def test_verify_only_builtin(self, capsys):
         assert main(["--verify-only"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
@@ -227,6 +253,35 @@ class TestRun:
                 calls[name] = 0
             records = run(ExperimentConfig(problem="ex3", mode=mode, jmin=2, jmax=5))
             assert calls == {"_graded_mesh": len(records), "_synthesis": len(records)}
+
+    def test_one_factorization_per_level(self, monkeypatch):
+        # condition_number inverts with the factor solve made, and the
+        # factor is dropped before the errors are measured
+        import wavegal.galerkin as galerkin
+
+        sizes, systems = [], []
+        real_factor, real_solve, real_errors = galerkin._spd_factor, cli.solve, cli.error_norms
+
+        def counted(A):
+            sizes.append(A.shape[0])
+            return real_factor(A)
+
+        def keeping_solve(system):
+            systems.append(system)
+            return real_solve(system)
+
+        def errors(sol, *args, **kwargs):
+            assert systems[-1].factor is None
+            return real_errors(sol, *args, **kwargs)
+
+        monkeypatch.setattr(galerkin, "_spd_factor", counted)
+        monkeypatch.setattr(cli, "solve", keeping_solve)
+        monkeypatch.setattr(cli, "error_norms", errors)
+        for problem in ("ex2", "ex3"):
+            for mode in ("enriched", "fem"):
+                sizes.clear()
+                records = run(ExperimentConfig(problem=problem, mode=mode, jmin=2, jmax=5))
+                assert sizes == [r.N_J for r in records]
 
     def test_reference_solve_when_no_exact(self, monkeypatch):
         # ex3 gives no closed form: its errors are measured against the flux

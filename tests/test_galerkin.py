@@ -581,6 +581,14 @@ class TestConditionNumber:
         A = scipy.sparse.csr_matrix(Q @ np.diag(d) @ Q.T)
         assert condition_number(A) == pytest.approx(400.0, rel=1e-3)
 
+    def test_reuses_the_factor_solve_keeps(self, sys2):
+        p = builtin_problem("ex3")
+        system = assemble(enriched_basis(sys2, 2, 6, p.gamma), p)
+        solve(system)
+        assert system.factor is not None
+        assert condition_number(system.A, system.factor) == pytest.approx(
+            condition_number(system.A), rel=1e-12)
+
 
 def mesh_derivative(f, x):
     """f' at x as `evaluate_solution` reads it: from the left, except at 0.

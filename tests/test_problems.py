@@ -344,6 +344,14 @@ def assert_sides_match(p, u, du, rtol):
             assert np.abs(got(x) - ref).max() <= rtol * np.abs(ref).max()
 
 
+def assert_table_matches_rule(side, lo, hi):
+    """A side's flux table against the nested rule it was fitted to, at
+    1001 points of [lo, hi], to 1e-14 of the side's largest |u| and |u'|."""
+    x = np.linspace(lo, hi, 1001)
+    rule, table = side.rule(x), side(x)
+    assert np.all(np.abs(table - rule).max(axis=1) <= 1e-14 * np.abs(rule).max(axis=1))
+
+
 class TestFluxQuadrature:
     @pytest.mark.parametrize("pid", ["ex1", "ex2"])
     def test_matches_closed_forms(self, pid):
@@ -363,6 +371,31 @@ class TestFluxQuadrature:
         x = np.linspace(0.0, p.gamma, 12).reshape(3, 4)
         assert p.exact.u_minus(x).shape == (3, 4)
         assert float(p.exact.u_minus(x[1, 2])) == p.exact.u_minus(x)[1, 2]
+
+    def test_empty_and_zero_d_queries(self):
+        e = builtin_problem("ex3").exact
+        for f in (e.u_minus, e.u_plus, e.du_minus, e.du_plus):
+            assert f(np.array([])).shape == (0,)
+            assert f(np.empty((0, 3))).shape == (0, 3)
+            assert f(np.float64(0.6)).shape == ()
+        u, du = e.values(math.pi / 6, np.array([]))
+        assert u.shape == du.shape == (0,)
+        for x in (0.2, 0.7):  # one on each side
+            u, du = e.values(math.pi / 6, x)
+            assert u.shape == du.shape == ()
+            assert (u, du) == tuple(v[0] for v in e.values(math.pi / 6, np.array([x])))
+
+    @pytest.mark.parametrize("override", [{"f_minus": "sqrt(x)"}, {"a_minus": "0.001 + x"}])
+    def test_cells_halved_where_the_rule_is_hard(self, override):
+        # the rule's 32 cells miss 1e-14 near x = 0: a source with a
+        # singular derivative there, a coefficient with a pole just past it
+        p = problem_from_spec(dict(BUILTIN_PROBLEMS["ex3"], **override))
+        left, right = p.exact.left, p.exact.right
+        assert len(left.edges) - 1 > len(left.x) - 1 == 32
+        assert left.edges[1] < 1e-3 * p.gamma  # halved towards 0
+        assert len(right.edges) == len(right.x)  # the right side is untouched
+        assert_table_matches_rule(left, 0.0, p.gamma)
+        assert_table_matches_rule(right, p.gamma, 1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(gamma=st.floats(1e-3, 1 - 1e-3), contrast=st.floats(1e-3, 1e6), g=st.floats(-10.0, 10.0))
@@ -384,6 +417,8 @@ class TestFluxQuadrature:
         assert abs(e.u_minus(gamma) - e.u_plus(gamma)) <= 1e-12 * scale
         jump = p.a_plus(gamma) * e.du_plus(gamma) - p.a_minus(gamma) * e.du_minus(gamma)
         assert jump == pytest.approx(g, abs=1e-12 * max(1.0, abs(g)))
+        assert_table_matches_rule(e.left, 0.0, gamma)
+        assert_table_matches_rule(e.right, gamma, 1.0)
         # -(a u')' = f by central differences inside each side
         for lo, hi, a, du in ((0.0, gamma, p.a_minus, e.du_minus), (gamma, 1.0, p.a_plus, e.du_plus)):
             x, h = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo), 1e-4 * (hi - lo)
