@@ -14,16 +14,16 @@ The decay diagnostics measure the coefficients <u, 2^j eta~_{j;k}> of a
 known piecewise-smooth u against the dual wavelets, split into the family
 away from the interface (fast decay, driven by vanishing moments) and the
 family whose dual support touches it (slow decay, driven by the kink) —
-the quantities behind the enrichment rule.  The away family is nearly all
-of a level, and its duals are translates on one lattice of cells 2^-j/p
-wide, (1/p)Z being the coarsest grid that holds the dual's breakpoints.  u is
-evaluated once per Gauss node of each lattice cell and every coefficient
-is a shifted sum of per-block shares (one shared quadrature for all
+the quantities behind the enrichment rule.  The translates of a dual
+share a lattice of cells 2^-j/p wide, (1/p)Z the coarsest grid holding its
+breakpoints: u is evaluated once per Gauss node of each cell, and every
+coefficient is a shifted sum of per-block shares (one quadrature for all
 translates, as in Sweldens and Piessens, SIAM J. Numer. Anal. 31, 1994).
-The pass streams a few thousand blocks at a time into the count, sum of
-squares and maximum the diagnostics need, so its memory does not grow
-with the level.  The touching duals, a few per level, and the boundary
-duals are integrated one at a time with the cell split at gamma.
+One pass per dual, interior and boundary alike, gives a level; the cell
+gamma splits is integrated either side of it, and the touching family is
+the k range around gamma.  The pass streams a few thousand blocks at a
+time into the count, sum of squares and maximum the diagnostics need, so
+its memory does not grow with the level.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,9 @@ CSV_HEADER = "J,N_J,kappa,E_L2,Ord_L2_h,Ord_L2_N,E_H1,Ord_H1_h,Ord_H1_N"
 
 DECAY_QUAD_NODES = 5
 # unit blocks per step of the lattice pass: memory stays flat in the level;
-# of 2^10..2^14, 2^11 and 2^12 ran fastest and 2^13 up 1.7-1.9x slower
-# (ex1 tail_energy at J=8, 2-CPU x86 VM, numpy 2.4)
+# of 2^10..2^14, 2^12 and 2^13 ran fastest (median 0.48 and 0.50 s), 2^11
+# and 2^14 1.2x and 2^10 1.6x slower (ex1 tail_energy at J=8, seven runs
+# each, 2-CPU x86 VM, numpy 2.4, one BLAS thread)
 _LATTICE_CHUNK = 1 << 12
 
 
@@ -180,46 +182,74 @@ def write_records_csv(records: list, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_coefficients(u, pp: PiecewisePolynomial, j: int, ks: range):
+class _Lattice(NamedTuple):
+    """A unit dual's lattice, independent of the level: its breakpoints are multiples of 1/p,
+    it spans nb unit blocks from lo, and row i of `weights` holds w_q/p * eta~ at the
+    DECAY_QUAD_NODES Gauss nodes of the p cells of its block i, laid out (q, c)."""
+
+    side: str
+    pp: PiecewisePolynomial
+    p: int
+    lo: int
+    nb: int
+    weights: np.ndarray
+
+
+def _lattice(pp: PiecewisePolynomial, side: str) -> _Lattice:
+    p = max(b.denominator for b in pp.breakpoints)  # dyadic, so the largest is their lcm
+    lo, hi = math.floor(pp.breakpoints[0]), math.ceil(pp.breakpoints[-1])
+    xs, ws = gauss_rule(DECAY_QUAD_NODES)
+    # node (q, c) of unit block i of the dual, cell edge + xs/p rounded once
+    t = lo + np.arange(hi - lo) + np.arange(p)[:, None] / p + xs[:, None, None] / p
+    weights = (ws[:, None, None] / p * pp.evaluate_array(t)).reshape(-1, hi - lo).T
+    return _Lattice(side, pp, p, lo, hi - lo, weights)
+
+
+def _dual_lattices(sys: WaveletSystem) -> list:
+    """The lattice of every dual wavelet, built once per diagnostic call."""
+    return [_lattice(pp, side) for side in ("left", "interior", "right")
+            for pp in sys.family("wavelet", side, dual=True)]
+
+
+def _lattice_coefficients(u, lat: _Lattice, j: int, ks: range, gamma: float):
     """<u, 2^j eta~_{j;k}> for k in ks, yielded in order, chunk by chunk.
 
-    Every breakpoint of the unit dual is a multiple of 1/p, so the duals of
-    level j share one lattice of cells 2^-j/p wide.  u is evaluated once at
-    the DECAY_QUAD_NODES Gauss nodes of every lattice cell.  The dual spans
-    nb unit blocks of p cells, so one (nb x Q*p) @ (Q*p x blocks) product
-    gives each block's share in the nb duals it meets, and nb shifted adds
-    give the coefficients.  Cells are not split at gamma, so no dual in ks
-    may straddle it; where the dual's breakpoints fill the lattice, as the
-    built-in dual's do, the nodes are those `_coeff_split_at_gamma` forms.
+    The duals of level j share one lattice of cells 2^-j/p wide.  u is
+    evaluated once at the DECAY_QUAD_NODES Gauss nodes of every lattice
+    cell; one (nb x Q*p) @ (Q*p x blocks) product gives each block's share
+    in the nb duals it meets, and nb shifted adds give the coefficients.
+    The block that holds gamma has its share patched in place: its cell
+    around gamma is integrated as two cells either side of gamma (one of
+    them empty when gamma is a cell edge), so no rule straddles the kink.
     No array grows with the level.
     """
-    if not ks:
-        return
-    bps = pp.breakpoints
-    p = max(b.denominator for b in bps)  # dyadic, so the largest is their lcm
-    lo = math.floor(bps[0])
-    nb = math.ceil(bps[-1]) - lo
+    p, lo, nb, weights = lat.p, lat.lo, lat.nb, lat.weights
     xs, ws = gauss_rule(DECAY_QUAD_NODES)
-    # node (q, c) of unit block i of the dual, cell edge + xs/p rounded
-    # once, and its weight w_q/p * eta~
-    t = lo + np.arange(nb) + np.arange(p)[:, None] / p + xs[:, None, None] / p
-    weights = (ws[:, None, None] / p * pp.evaluate_array(t)).reshape(-1, nb).T
-    nq = weights.shape[1]
-    h = 2.0**-j / p
-    amp = 2.0 ** (j / 2.0)
+    h, amp = 2.0**-j / p, 2.0 ** (j / 2.0)
     # nodes laid out (q, c, block): each sum is exact but the last, so they
     # round once, as cell edge + h * xs does
-    cell_h = (np.arange(p) * h)[:, None]
-    xs_h = (xs * h)[:, None, None]
-    # dual k meets blocks k + lo .. k + lo + nb - 1; the last nb - 1 blocks
-    # of a chunk carry their shares over to the next
+    cell_h, xs_h = (np.arange(p) * h)[:, None], (xs * h)[:, None, None]
+    gblock, gcell = divmod(math.floor(math.ldexp(gamma, j) * p), p)
+    # dual k meets blocks k + lo .. k + lo + nb - 1, so a chunk's last nb - 1 blocks
+    # carry their shares to the next; gamma's block alone straddles gamma
     first, stop = ks.start + lo, ks.stop + lo + nb - 1
+    seams = {b for b in (gblock, gblock + 1) if first < b < stop}
+    starts = sorted(seams.union(range(first, stop, _LATTICE_CHUNK)))
     carry = np.zeros((nb, 0))
-    for b0 in range(first, stop, _LATTICE_CHUNK):
-        x = np.arange(b0, min(b0 + _LATTICE_CHUNK, stop)) * (p * h) + cell_h + xs_h
-        ux = np.asarray(u(x.ravel())).reshape(nq, -1)
-        share = np.concatenate([carry, weights @ ux], axis=1)
-        n = share.shape[1] - nb + 1
+    for b0, b1 in zip(starts, starts[1:] + [stop]):
+        ux = np.asarray(u((np.arange(b0, b1) * (p * h) + cell_h + xs_h).ravel())).reshape(len(xs) * p, -1)
+        share = weights @ ux
+        if b0 == gblock:  # patch gamma's block, its cell integrated either side of gamma
+            e = (gblock * p + gcell) * h  # the cell's left edge, exact
+            w = np.array([gamma - e, e + h - gamma])
+            xg = (np.array([e, gamma])[:, None] + w[:, None] * xs).ravel()
+            # the dual meeting this block as its block i sees x at lo + i + 2^j x - gblock
+            eta = lat.pp.evaluate_array(lo + np.arange(nb)[:, None] + (np.ldexp(xg, j) - gblock))
+            keep = np.arange(len(ux)) % p != gcell  # the other cells' nodes
+            wg = eta * np.ldexp(np.outer(w, ws), j).ravel()
+            share[:, 0] = weights[:, keep] @ ux[keep, 0] + wg @ np.asarray(u(xg))
+        share = np.concatenate([carry, share], axis=1)
+        n = max(share.shape[1] - nb + 1, 0)
         c = share[0, :n].copy()
         for i in range(1, nb):
             c += share[i, i : i + n]
@@ -227,43 +257,24 @@ def _lattice_coefficients(u, pp: PiecewisePolynomial, j: int, ks: range):
         carry = share[:, n:]
 
 
-def _coeff_split_at_gamma(u, pp: PiecewisePolynomial, j: int, k: int, gamma: float) -> float:
-    """|<u, 2^j eta~_{j;k}>| with the straddling cell split at gamma."""
-    mapped = pp.dyadic_transform(j, k)
-    breaks = sorted({max(0.0, min(1.0, float(b))) for b in mapped.breakpoints} | {gamma})
-    breaks = [b for b in breaks if float(mapped.breakpoints[0]) <= b <= float(mapped.breakpoints[-1])]
-    xs, ws = gauss_rule(DECAY_QUAD_NODES)
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b <= a:
-            continue
-        nodes = a + (b - a) * xs
-        total += (b - a) * float(
-            np.dot(ws, np.asarray(u(nodes)) * mapped.evaluate_array(nodes))
-        )
-    return abs(2.0**j * total)
-
-
-def _level_families(sys: WaveletSystem, j: int, gamma: float):
-    """Split level-j dual wavelet indices into away / touching families.
-
-    Touching means gamma lies in the closed dual support (the indices
-    the enrichment rule would pick up).  Returns (interior, boundary):
-    per interior component (pp, away, touching), where `touching` is the
-    contiguous range of such k and `away` the two ranges either side of
-    it; and boundary entries (pp, k, touching)."""
-    ks = sys.interior_range("wavelet", j)
-    t = 2.0**j * gamma
-    interior = []
-    for pp in sys.psi_dual:
-        lo, hi = float(pp.support.lo), float(pp.support.hi)
+def _level_families(sys: WaveletSystem, j: int, gamma: float, lattices: list) -> list:
+    """(lattice, ks, touching) per dual wavelet of level j: its translates
+    (k = 0 and 2^j - 1 for the boundary duals) and the contiguous sub-range
+    of them whose closed support holds gamma, the indices the enrichment
+    rule picks up.  The rest are the away family."""
+    if j < sys.J0:
+        raise ValueError(f"level {j} below coarsest admissible level J0={sys.J0}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"interface point {gamma} must lie in (0, 1)")
+    ranges = {"left": range(1), "interior": sys.interior_range("wavelet", j), "right": range(2**j - 1, 2**j)}
+    t, out = 2.0**j * gamma, []
+    for lat in lattices:
+        ks, lo, hi = ranges[lat.side], float(lat.pp.support.lo), float(lat.pp.support.hi)
         # gamma in 2^-j [lo + k, hi + k]  <=>  2^j gamma - hi <= k <= 2^j gamma - lo
         t0 = min(max(math.ceil(t - hi), ks.start), ks.stop)
         t1 = min(max(math.floor(t - lo) + 1, t0), ks.stop)
-        interior.append((pp, (range(ks.start, t0), range(t1, ks.stop)), range(t0, t1)))
-    boundary = [(pp, k, (pp.support.lo + k) / 2**j <= gamma <= (pp.support.hi + k) / 2**j)
-                for pps, k in ((sys.psi_left_dual, 0), (sys.psi_right_dual, 2**j - 1)) for pp in pps]
-    return interior, boundary
+        out.append((lat, ks, range(t0, t1)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,26 +288,19 @@ class _Level:
     touching: np.ndarray
 
 
-def _level_coefficients(u, sys: WaveletSystem, j: int, gamma: float) -> _Level:
-    """Level j's coefficients by family: the interior away duals stream
-    through the lattice pass, the touching and boundary duals take the
-    per-dual quadrature split at gamma."""
-    interior, boundary = _level_families(sys, j, gamma)
-    n, sumsq, peak = 0, 0.0, 0.0
-    for pp, ranges, _ in interior:
-        for ks in ranges:
-            for c in _lattice_coefficients(u, pp, j, ks):
-                n += len(c)
-                sumsq += float(c @ c)
-                peak = max(peak, float(np.abs(c).max()))
-    touching = [_coeff_split_at_gamma(u, pp, j, k, gamma) for pp, _, ks in interior for k in ks]
-    for pp, k, is_touch in boundary:
-        c = _coeff_split_at_gamma(u, pp, j, k, gamma)
-        if is_touch:
-            touching.append(c)
-        else:
-            n, sumsq, peak = n + 1, sumsq + c * c, max(peak, c)
-    return _Level(n, sumsq, peak, np.array(touching))
+def _level_coefficients(u, sys: WaveletSystem, j: int, gamma: float, lattices: list) -> _Level:
+    """Level j's coefficients by family, from one lattice pass per dual wavelet."""
+    n, sumsq, peak, touching = 0, 0.0, 0.0, [np.zeros(0)]
+    for lat, ks, touch in _level_families(sys, j, gamma, lattices):
+        k = ks.start
+        for c in _lattice_coefficients(u, lat, j, ks, gamma):
+            t0, t1 = min(max(touch.start - k, 0), len(c)), min(max(touch.stop - k, 0), len(c))
+            k += len(c)
+            if t1 > t0:  # the touching duals, taken out of the stream
+                touching.append(np.abs(c[t0:t1]))
+                c = np.concatenate((c[:t0], c[t1:]))
+            n, sumsq, peak = n + c.size, sumsq + float(c @ c), max(peak, float(np.abs(c).max(initial=0.0)))
+    return _Level(n, sumsq, peak, np.concatenate(touching))
 
 
 def _fit_slope(levels, maxima):
@@ -317,11 +321,10 @@ def coefficient_decay_probe(u, sys: WaveletSystem, gamma: float, j_range) -> tup
     levels = list(j_range)
     if len(levels) < 4:
         raise ValueError("slope fit needs at least 4 levels")
-    max_away, max_touch = [], []
-    for j in levels:
-        level = _level_coefficients(u, sys, j, gamma)
-        max_away.append(level.away_max)
-        max_touch.append(float(level.touching.max()) if level.touching.size else 0.0)
+    lattices = _dual_lattices(sys)
+    stats = [_level_coefficients(u, sys, j, gamma, lattices) for j in levels]
+    max_away = [s.away_max for s in stats]
+    max_touch = [float(s.touching.max(initial=0.0)) for s in stats]
     return (
         DecayProbe(tuple(levels), tuple(max_away), _fit_slope(levels, max_away)),
         DecayProbe(tuple(levels), tuple(max_touch), _fit_slope(levels, max_touch)),
@@ -336,14 +339,11 @@ def tail_energy(u, sys: WaveletSystem, gamma: float, J: int, j_max: int | None =
     family sum starts at (2m-2)J, the first level past the enrichment
     range.  Both should scale like 2^(-2(m-1)J).
     """
-    m = sys.m
-    top_enriched = (2 * m - 2) * J - 1
-    if j_max is None:
-        j_max = (2 * m - 2) * J + 6
-    tail_smooth = 0.0
-    tail_interface = 0.0
+    top_enriched = (2 * sys.m - 2) * J - 1
+    j_max = top_enriched + 7 if j_max is None else j_max
+    tail_smooth, tail_interface, lattices = 0.0, 0.0, _dual_lattices(sys)
     for j in range(J + 1, j_max + 1):
-        level = _level_coefficients(u, sys, j, gamma)
+        level = _level_coefficients(u, sys, j, gamma, lattices)
         tail_smooth += level.away_sumsq
         if j > top_enriched:
             tail_interface += float(np.sum(level.touching**2))

@@ -309,7 +309,11 @@ def add(a, b):
     (ta, ca), (tb, cb) = parts
     n = max(len(ca), len(cb))
     poly = _poly([(ca[k] if k < len(ca) else 0.0) + (cb[k] if k < len(cb) else 0.0) for k in range(n)])
-    terms = ta + tb
+    like = {}  # like terms k1 * core + k2 * core collected, in order of first use
+    for t in ta + tb:
+        k, core = _split(t)
+        like[core] = like.get(core, 0.0) + k
+    terms = tuple(scale(k, core) for core, k in like.items() if k != 0.0)
     if not terms:
         return poly
     return terms[0] if len(terms) == 1 and poly == ZERO else Sum(terms, poly)

@@ -1,6 +1,7 @@
 """Unit tests for error norms, convergence orders, and decay diagnostics."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from wavegal.analysis import (
     _LATTICE_CHUNK,
     DECAY_QUAD_NODES,
     ConvergenceRecord,
-    _coeff_split_at_gamma,
+    _dual_lattices,
+    _lattice,
     _lattice_coefficients,
     _level_coefficients,
     _level_families,
@@ -157,39 +159,87 @@ class TestCsvOutput:
         assert lines[2].split(",")[4] == "2.0000"
 
 
+def kinked_u(g):
+    """Continuous, boundary-vanishing, smooth except for a derivative kink
+    at g: sin(pi x) plus |x - g| minus its linear interpolant on [0, 1]."""
+
+    def u(x):
+        x = np.asarray(x, dtype=float)
+        return np.sin(np.pi * x) + np.abs(x - g) - g - x * (1 - 2 * g)
+
+    return u
+
+
 class TestDecayFamilies:
     def test_partition_counts(self, sys2):
-        g = math.pi / 6
-        for j in (4, 6, 9):
-            interior, boundary = _level_families(sys2, j, g)
-            total = sum(len(ks) for _, away, t in interior for ks in (*away, t)) + len(boundary)
-            assert total == 2**j
+        lattices = _dual_lattices(sys2)
+        for g in (math.pi / 6, 0.5, 0.02):
+            for j in (4, 6, 9):
+                families = _level_families(sys2, j, g, lattices)
+                assert sum(len(ks) for _, ks, _ in families) == 2**j
+                assert all(t.start >= ks.start and t.stop <= ks.stop for _, ks, t in families)
 
     def test_touching_matches_enrichment_rule(self, sys2):
         from wavegal.basis import interface_set
 
-        g = math.pi / 6
-        for j in (5, 8):
-            interior, boundary = _level_families(sys2, j, g)
-            ks = sorted(k for _, _, t in interior for k in t)
-            ks += sorted(k for _, k, is_t in boundary if is_t)
-            want = sorted(interface_set(sys2, j, g)[:, 3].tolist())
-            assert ks == want
+        lattices = _dual_lattices(sys2)
+        for g in (math.pi / 6, 0.5, 0.375, 0.02):
+            for j in (5, 8):
+                ks = sorted(k for _, _, t in _level_families(sys2, j, g, lattices) for k in t)
+                want = sorted(interface_set(sys2, j, g)[:, 3].tolist())
+                assert ks == want
 
     def test_linear_function_kills_interior_away_coefficients(self, sys2):
         # two vanishing moments annihilate global linears exactly
         u = lambda x: np.asarray(x, dtype=float)
         for j in (4, 7):
             ks = sys2.interior_range("wavelet", j)
-            c = np.concatenate(list(_lattice_coefficients(u, sys2.psi_dual[0], j, ks)))
+            lat = _lattice(sys2.psi_dual[0], "interior")
+            c = np.concatenate(list(_lattice_coefficients(u, lat, j, ks, 0.4)))
             assert len(c) == len(ks)
             assert float(np.abs(c).max()) < 1e-12
 
     def test_level_coefficients_shapes(self, sys2):
         u = lambda x: np.sin(3 * np.asarray(x))
-        level = _level_coefficients(u, sys2, 5, math.pi / 6)
+        level = _level_coefficients(u, sys2, 5, math.pi / 6, _dual_lattices(sys2))
         assert level.n_away + len(level.touching) == 2**5
         assert len(level.touching) >= 1
+
+
+class TestInvalidInput:
+    def test_level_below_coarsest(self, sys2):
+        # at level 0 the left and right boundary duals are the same k = 0
+        u = kinked_u(0.4)
+        with pytest.raises(ValueError, match="level 0 below"):
+            _level_coefficients(u, sys2, 0, 0.4, _dual_lattices(sys2))
+        with pytest.raises(ValueError, match="level 0 below"):
+            coefficient_decay_probe(u, sys2, 0.4, range(0, 6))
+
+    @pytest.mark.parametrize("g", [1.7, 0.0, 1.0, float("nan")])
+    def test_gamma_outside_unit_interval(self, sys2, g):
+        u = lambda x: np.asarray(x, dtype=float)
+        msg = re.escape(f"interface point {g} must lie in (0, 1)")
+        with pytest.raises(ValueError, match=msg):
+            tail_energy(u, sys2, g, 3)
+        with pytest.raises(ValueError, match=msg):
+            coefficient_decay_probe(u, sys2, g, range(4, 8))
+
+
+def coeff_split_at_gamma(u, pp, j, k, gamma):
+    """|<u, 2^j eta~_{j;k}>|, one dual at a time: Gauss nodes on each piece
+    of the exact dyadic transform of the dual, the piece holding gamma split
+    there."""
+    mapped = pp.dyadic_transform(j, k)
+    breaks = sorted({max(0.0, min(1.0, float(b))) for b in mapped.breakpoints} | {gamma})
+    breaks = [b for b in breaks if float(mapped.breakpoints[0]) <= b <= float(mapped.breakpoints[-1])]
+    xs, ws = gauss_rule(DECAY_QUAD_NODES)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b <= a:
+            continue
+        nodes = a + (b - a) * xs
+        total += (b - a) * float(np.dot(ws, np.asarray(u(nodes)) * mapped.evaluate_array(nodes)))
+    return abs(2.0**j * total)
 
 
 def per_dual_coefficients(u, pp, j, ks):
@@ -216,17 +266,17 @@ def per_dual_tails(u, sys, g, J):
             lo, hi = (float(b + k) / 2**j for b in (pp.breakpoints[0], pp.breakpoints[-1]))
             if lo <= g <= hi:
                 if j > top:
-                    interface += _coeff_split_at_gamma(u, pp, j, k, g) ** 2
+                    interface += coeff_split_at_gamma(u, pp, j, k, g) ** 2
             elif pp in sys.psi_dual:
                 away.setdefault(pp, []).append(k)
             else:
-                smooth += _coeff_split_at_gamma(u, pp, j, k, g) ** 2
+                smooth += coeff_split_at_gamma(u, pp, j, k, g) ** 2
         smooth += sum(float(np.sum(per_dual_coefficients(u, pp, j, ks) ** 2)) for pp, ks in away.items())
     return smooth, interface
 
 
-def lattice(u, pp, j, ks):
-    return np.abs(np.concatenate(list(_lattice_coefficients(u, pp, j, ks))))
+def lattice(u, lat, j, ks, gamma):
+    return np.abs(np.concatenate(list(_lattice_coefficients(u, lat, j, ks, gamma))))
 
 
 def sample(n, j):
@@ -239,27 +289,41 @@ def sample(n, j):
     return sorted(near | set(range(0, n, 97)))
 
 
+def assert_matches_per_dual(u, sys, g, levels):
+    """Every dual of each level, away, touching and boundary alike, from the
+    lattice pass against the per-dual rule split at g.  The duals'
+    vanishing moments cancel terms of size 2^(j/2) |u| |eta~|_1 down to
+    coefficients up to 2^-j times smaller, so both rules carry roundoff
+    relative to the terms: on ex1 the two differ by up to 3.9e-12 of the
+    level's largest coefficient at j = 12, but by less than 2e-16 of the
+    terms."""
+    u_max = float(np.abs(u(np.linspace(0.0, 1.0, 1001))).max())
+    lattices = _dual_lattices(sys)
+    for j in levels:
+        for lat, ks, touch in _level_families(sys, j, g, lattices):
+            lo, hi = float(lat.pp.support.lo), float(lat.pp.support.hi)
+            l1 = float(np.abs(lat.pp.evaluate_array(np.linspace(lo, hi, 3001))).mean() * (hi - lo))
+            c = lattice(u, lat, j, ks, g)
+            assert len(c) == len(ks)
+            idx = sorted(set(sample(len(ks), j)) | {k - ks.start for k in touch})
+            ref = [coeff_split_at_gamma(u, lat.pp, j, ks[i], g) for i in idx]
+            err = np.abs(c[idx] - ref)
+            assert np.all(err <= 1e-14 * 2 ** (j / 2) * u_max * l1), (j, ks)
+
+
 class TestLatticePass:
     def test_matches_per_dual_quadrature(self, sys2):
-        # the duals' vanishing moments cancel terms of size
-        # 2^(j/2) |u| |eta~|_1 down to coefficients up to 2^-j times
-        # smaller, so both rules carry roundoff relative to the terms: the
-        # two differ by up to 3.9e-12 of the level's largest coefficient at
-        # j = 12, but by less than 2e-16 of the terms
+        # pi/6 lies strictly inside a lattice cell at every level, so the
+        # pass splits that cell
         p = builtin_problem("ex1")
-        u_max = float(np.abs(p.u(np.linspace(0.0, 1.0, 1001))).max())
-        for j in (4, 5, 6, 7, 8, 12, 14):
-            interior, _ = _level_families(sys2, j, p.gamma)
-            for pp, away, _ in interior:
-                lo, hi = float(pp.support.lo), float(pp.support.hi)
-                l1 = float(np.abs(pp.evaluate_array(np.linspace(lo, hi, 3001))).mean() * (hi - lo))
-                for ks in away:
-                    c = lattice(p.u, pp, j, ks)
-                    assert len(c) == len(ks)
-                    idx = sample(len(ks), j)
-                    ref = [_coeff_split_at_gamma(p.u, pp, j, ks[i], p.gamma) for i in idx]
-                    err = np.abs(c[idx] - ref)
-                    assert np.all(err <= 1e-14 * 2 ** (j / 2) * u_max * l1)
+        assert_matches_per_dual(p.u, sys2, p.gamma, (4, 5, 6, 7, 8, 12, 14))
+
+    @pytest.mark.parametrize("g", [0.5, 0.375, 0.02])
+    def test_gamma_placements(self, sys2, g):
+        # 0.5 and 0.375 are lattice edges, where two neighbouring duals both
+        # touch and no cell is split; 0.02 lies in the first or second block
+        # at j = 4..6, where the left boundary dual touches it
+        assert_matches_per_dual(kinked_u(g), sys2, g, (4, 5, 6, 7, 8, 12))
 
     def test_quarter_point_dual(self):
         # non-uniform breakpoints on a quarter grid, support not on whole
@@ -269,30 +333,21 @@ class TestLatticePass:
             [(1, -2, 3), (Fraction(1, 3), 4), (-1, Fraction(3, 2), -5), (2, -1, Fraction(1, 4))],
         )
         u = lambda x: np.exp(np.asarray(x)) * np.cos(3 * np.asarray(x))
-        for j in (4, 5, 6, 7, 8, 12, 14):
-            ks = range(1, 2**j - 1)  # supports inside (0, 1)
-            c = lattice(u, pp, j, ks)
-            assert len(c) == len(ks)
-            idx = sample(len(ks), j)
-            ref = [_coeff_split_at_gamma(u, pp, j, ks[i], 0.0) for i in idx]
-            assert np.all(np.abs(c[idx] - ref) <= 1e-12 * c.max())
+        for g in (0.0, 1 / 3):  # no cell split, and one cell split
+            for j in (4, 5, 6, 7, 8, 12, 14):
+                ks = range(1, 2**j - 1)  # supports inside (0, 1)
+                c = lattice(u, _lattice(pp, "interior"), j, ks, g)
+                assert len(c) == len(ks)
+                idx = sample(len(ks), j)
+                ref = [coeff_split_at_gamma(u, pp, j, ks[i], g) for i in idx]
+                assert np.all(np.abs(c[idx] - ref) <= 1e-12 * c.max())
 
     def test_tail_energy_matches_per_dual_sums(self, sys2):
         p = builtin_problem("ex1")
-        got = tail_energy(p.u, sys2, p.gamma, J=3)
-        want = per_dual_tails(p.u, sys2, p.gamma, 3)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def kinked_u(g):
-    """Continuous, boundary-vanishing, smooth except for a derivative kink
-    at g: sin(pi x) plus |x - g| minus its linear interpolant on [0, 1]."""
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(np.pi * x) + np.abs(x - g) - g - x * (1 - 2 * g)
-
-    return u
+        for u, g in ((p.u, p.gamma), (kinked_u(0.375), 0.375)):
+            got = tail_energy(u, sys2, g, J=3)
+            want = per_dual_tails(u, sys2, g, 3)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestDecayProbe:

@@ -13,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavegal.expressions import (
+    _FUNCS,
+    X,
+    Call,
+    Const,
     Expression,
     ExpressionError,
+    Mul,
     Poly,
+    Sum,
     parse_expression,
 )
 from wavegal.problems import BUILTIN_PROBLEMS, builtin_problem, problem_from_spec
@@ -270,6 +276,24 @@ class TestFoldedTrees:
         assert c(0.0) == pytest.approx(math.sin(math.pi / 6) * math.e - 2, rel=1e-15)
         out = c(np.zeros((2, 3)))
         assert out.shape == (2, 3) and np.all(out == c(0.0))
+
+
+    def test_like_terms_are_collected(self, ex1, monkeypatch):
+        # term by term, u'' of x*exp(x) is exp(x) + exp(x) + x*exp(x)
+        f = ex1.f_minus
+        assert f.text == "-(2.0*exp(x) + x*exp(x))"
+        assert parse_expression(f.text).tree == f.tree
+        assert parse_expression("sin(x) + 2*sin(x)").text == "3.0*sin(x)"
+        assert parse_expression("exp(x) - exp(x) + x").text == "x"
+        e = Call("exp", X)
+        unfolded = Mul(Const(-1.0), Sum((e, e, Mul(X, e)), Const(0.0)))
+        x = np.linspace(0.0, 1.0, 1001)
+        want = unfolded.eval(x)
+        assert np.all(np.abs(f(x) - want) <= 4 * np.spacing(np.abs(want)))
+        calls = []
+        monkeypatch.setitem(_FUNCS, "exp", lambda v: calls.append(v) or np.exp(v))
+        f(x)
+        assert len(calls) == 2
 
 
 class TestProblemFromSpec:
