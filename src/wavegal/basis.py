@@ -11,12 +11,17 @@ k, so a basis is four int arrays (family, component, j, k) plus float
 tables gathered in one step from the system's per-family tables, equal to
 the floats of `dyadic_transform(j, k).scale(2^-j)`.  `basis[i]` builds
 function i exactly on access, for verification, and does not cache it.
+
+The spaces are nested: the level-J basis is a subset of the level-(J+1)
+basis, in the same order, so a sweep builds its deepest level once and
+takes each coarser level as a row selection of it (`EnrichedBasis.level`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -94,8 +99,13 @@ class EnrichedBasis:
     J: int
     gamma: float | None
     level_counts: dict = field(default_factory=dict)
+    # the float tables, gathered from the system's when not given
+    breaks: np.ndarray | None = field(default=None, repr=False)
+    coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.breaks is not None:
+            return
         # breakpoints (b + k) 2^-j and coefficients fl(c_n amp_j) 2^(j(n-1)),
         # with amp_j = 2^(j/2) rounded as dyadic_transform rounds it
         first, breaks, coeffs = self.sys.float_tables
@@ -120,6 +130,38 @@ class EnrichedBasis:
     @property
     def N(self) -> int:
         return len(self)
+
+    def level(self, J: int) -> tuple[np.ndarray, "EnrichedBasis"]:
+        """The rows of this basis that form its level-J basis, in order, and
+        that basis, which equals what `enriched_basis` (or, when gamma is
+        None, `truncated_basis`) builds at J, float tables included.  This
+        basis must be one of theirs, built at a level self.J >= J.
+
+        The level-J basis holds the rows of levels up to J and, when
+        enriched, the rows of levels J+1..(2m-2)J-1 whose dual support
+        holds gamma: this basis keeps those levels whole up to self.J and
+        only their interface sets past it.
+        """
+        if not self.J0 <= J <= self.J:
+            raise ValueError(f"level {J} outside this basis's levels {self.J0}..{self.J}")
+        keep = self.j <= J
+        if self.gamma is not None:
+            keep |= self._touching & (self.j <= (2 * self.sys.m - 2) * J - 1)
+        rows = np.flatnonzero(keep)
+        levels, counts = np.unique(self.j[rows], return_counts=True)
+        return rows, EnrichedBasis(
+            self.sys, *(a[rows] for a in (self.family, self.component, self.j, self.k)),
+            J0=self.J0, J=J, gamma=self.gamma, level_counts=dict(zip(levels.tolist(), counts.tolist())),
+            breaks=self.breaks[rows], coeffs=self.coeffs[rows])
+
+    @cached_property
+    def _touching(self) -> np.ndarray:
+        """Mask of the wavelet rows past level J0 whose dual support holds gamma."""
+        deep = np.flatnonzero(self.j > self.J0)
+        mask = np.zeros(len(self), dtype=bool)
+        rows = np.stack([a[deep] for a in (self.family, self.component, self.j, self.k)], axis=1)
+        mask[deep[_touches(self.sys, rows, self.gamma)]] = True
+        return mask
 
 
 def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
@@ -146,36 +188,48 @@ def truncated_basis(sys: WaveletSystem, J0: int, J: int) -> EnrichedBasis:
     return _assemble(sys, J0, J, None, J)
 
 
+def _touches(sys: WaveletSystem, rows: np.ndarray, gamma: float) -> np.ndarray:
+    """Mask of the wavelet rows (family, component, j, k) whose closed dual
+    support [(lo + k) 2^-j, (hi + k) 2^-j] holds gamma, inclusive at the
+    endpoints.  The endpoints lo, hi are multiples of 1/p, p a power of
+    two, so the test is lo p + k p <= 2^j gamma p <= hi p + k p, on floats
+    that are all exact while 2^j p < 2^53."""
+    sides = [f for f, (kind, _) in enumerate(FAMILIES) if kind == "wavelet"]
+    sups = {f: [pp.support for pp in sys.family(*FAMILIES[f], dual=True)] for f in sides}
+    p = max(e.denominator for fam in sups.values() for s in fam for e in (s.lo, s.hi))
+    ends = np.zeros((len(FAMILIES), max(len(fam) for fam in sups.values()), 2))
+    for f, fam in sups.items():
+        ends[f, : len(fam)] = [[float(s.lo) * p, float(s.hi) * p] for s in fam]
+    family, comp, j, k = rows.T
+    ends = ends[family, comp] + (k * p)[:, None]
+    g = np.ldexp(gamma, j) * p
+    return (ends[:, 0] <= g) & (g <= ends[:, 1])
+
+
 def interface_set(sys: WaveletSystem, j: int, gamma: float) -> np.ndarray:
     """Level-j wavelets whose dual support contains the interface point, as
     rows (family, component, j, k) in basis order.
 
-    Membership is tested exactly against the closed dual support
-    [(lo + k) 2^-j, (hi + k) 2^-j], inclusive at endpoints: if gamma lands
-    exactly on a shared dyadic endpoint, both neighbors qualify.  The
-    endpoints lo, hi are multiples of 1/p, p a power of two, so the test is
-    lo p + k p <= 2^j gamma p <= hi p + k p, on floats that are all exact
-    while 2^j p < 2^53.  Only the boundary functions and the O(1) interior
+    Membership is tested exactly against the closed dual support (see
+    `_touches`): if gamma lands exactly on a shared dyadic endpoint, both
+    neighbors qualify.  Only the boundary functions and the O(1) interior
     translates near gamma are tested, so this stays cheap at the deep
     enrichment levels.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
-    sides = ("left", "interior", "right")
-    sups = [[pp.support for pp in sys.family("wavelet", side, dual=True)] for side in sides]
-    p = max(e.denominator for fam in sups for s in fam for e in (s.lo, s.hi))
     # interior candidates: translates near 2^j gamma, a superset of the members
+    sup = [pp.support for pp in sys.family("wavelet", "interior", dual=True)]
     t, ks = gamma * 2**j, sys.interior_range("wavelet", j)
-    lo, hi = min(float(s.lo) for s in sups[1]), max(float(s.hi) for s in sups[1])
+    lo, hi = min(float(s.lo) for s in sup), max(float(s.hi) for s in sup)
     near = np.arange(max(ks.start, math.floor(t - hi) - 1), min(ks.stop, math.ceil(t - lo) + 2))
-    g, rows = math.ldexp(gamma, j) * p, []
-    for side, fam, k in zip(sides, sups, ([0], near, [2**j - 1])):
-        k, comp = np.repeat(k, len(fam)), np.tile(np.arange(len(fam)), len(k))
-        ends = np.array([[float(s.lo) * p, float(s.hi) * p] for s in fam]).reshape(-1, 2)
-        ends = ends[comp] + (k * p)[:, None]
-        keep = (ends[:, 0] <= g) & (g <= ends[:, 1])
-        rows += [(FAMILIES.index(("wavelet", side)), c, j, kk) for c, kk in zip(comp[keep], k[keep])]
-    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+    cand = []
+    for side, k in zip(("left", "interior", "right"), ([0], near, [2**j - 1])):
+        n = len(sys.family("wavelet", side, dual=True))
+        cand.append(np.stack([np.full(len(k) * n, FAMILIES.index(("wavelet", side))),
+                              np.tile(np.arange(n), len(k)), np.full(len(k) * n, j), np.repeat(k, n)], axis=1))
+    cand = np.concatenate(cand).astype(np.intp)
+    return cand[_touches(sys, cand, gamma)]
 
 
 def enriched_basis(sys: WaveletSystem, J0: int, J: int, gamma: float) -> EnrichedBasis:

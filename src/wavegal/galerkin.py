@@ -30,6 +30,13 @@ from the system's per-family tables), never the exact polynomials that
 its `DiscreteSolution`, so errors are measured on the mesh and C the
 system was assembled from.
 
+The enriched spaces are nested, so the system of a coarser level J is
+the principal sub-system of a deeper one on the rows of its basis
+(`subsystem`): A[rows][:, rows] and b[rows], assembled on the deeper
+mesh, which is a refinement of level J's.  Its form is the deeper one
+with `cols` = rows, and its solutions are evaluated from the deeper C,
+their coefficients scattered into those columns; no copy of C is made.
+
 The stiffness matrix stores only the entries that support arithmetic
 cannot prove zero.  An off-diagonal pair is dropped when the support
 [lo, hi] of one function lies in a single piece of the other, that piece
@@ -74,6 +81,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "assemble",
+    "subsystem",
     "solve",
     "condition_number",
     "evaluate_solution",
@@ -165,13 +173,29 @@ class InterfaceProblem:
 class _CellForm(NamedTuple):
     """The graded mesh of a basis split at gamma: its edges, the Gauss nodes
     x and weights w of its cells (cells x QUAD_NODES each), and the
-    synthesis matrix C of the basis on it."""
+    synthesis matrix C of the basis on it.  x may be dropped (None) once
+    what needs it has been evaluated; `_gauss_nodes(edges)` rebuilds it.
+    A sub-system's form holds a deeper basis's C, and cols, the columns of
+    its own functions."""
 
     gamma: float | None
     edges: np.ndarray
-    x: np.ndarray
+    x: np.ndarray | None
     w: np.ndarray
     C: scipy.sparse.csc_matrix
+    cols: np.ndarray | None = None
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.x if self.x is not None else _gauss_nodes(self.edges)[0]
+
+    def scatter(self, coefficients) -> np.ndarray:
+        """Coefficients of the basis's functions in C's columns."""
+        if self.cols is None:
+            return coefficients
+        out = np.zeros(self.C.shape[1])
+        out[self.cols] = coefficients
+        return out
 
 
 @dataclass
@@ -203,6 +227,11 @@ def _graded_mesh(basis, gamma=None):
     QUAD_NODES arrays."""
     pts = basis.breaks[np.isfinite(basis.breaks)]
     edges = np.unique(pts if gamma is None else np.append(pts, gamma))
+    return (edges, *_gauss_nodes(edges))
+
+
+def _gauss_nodes(edges):
+    """The QUAD_NODES Gauss nodes x and weights w of each cell of `edges`."""
     t, wt = gauss_rule(QUAD_NODES)
     lo, hi = edges[:-1, None], edges[1:, None]
     # on cells only a few ulps wide the nodes may round onto an edge, where
@@ -210,7 +239,7 @@ def _graded_mesh(basis, gamma=None):
     # cell one ulp wide has them on its left edge, the side its pieces are
     # read from)
     x = np.clip(lo + (hi - lo) * t, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    return edges, x, (hi - lo) * wt
+    return x, (hi - lo) * wt
 
 
 def _synthesis(basis, edges):
@@ -374,6 +403,21 @@ def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
     return LinearSystem(_stiffness(basis, problem, form), _load(problem, form), basis, form)
 
 
+def subsystem(system: LinearSystem, J: int) -> LinearSystem:
+    """The level-J system nested in `system`, whose basis `enriched_basis`
+    or `truncated_basis` built at a level >= J: the principal sub-matrix
+    A[rows][:, rows] and sub-vector b[rows] on the rows of the level-J
+    basis (`EnrichedBasis.level`), sharing system's mesh and C.  At
+    system's own level it shares A, b and the basis too."""
+    if J == system.basis.J:
+        return LinearSystem(system.A, system.b, system.basis, system.form)
+    rows, basis = system.basis.level(J)
+    form = system.form
+    if form is not None:
+        form = form._replace(cols=rows if form.cols is None else form.cols[rows])
+    return LinearSystem(system.A[rows][:, rows], system.b[rows], basis, form)
+
+
 def _spd_factor(A):
     """SuperLU factor of an SPD matrix A: minimum-degree ordering of
     A^T + A, diagonal pivots only.  Raises SolverError unless every pivot
@@ -447,7 +491,7 @@ def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarr
         raise ValueError("evaluation grid must lie in [0, 1]")
     form = sol.form if sol.form is not None else _cell_form(sol.basis, sol.basis.gamma)
     edges = form.edges
-    U = (form.C @ sol.coefficients).reshape(len(edges) - 1, -1)
+    U = (form.C @ form.scatter(sol.coefficients)).reshape(len(edges) - 1, -1)
     cell = np.clip(np.searchsorted(edges, x) - 1, 0, len(edges) - 2)
     h = edges[cell + 1] - edges[cell]
     t = (x - edges[cell]) / h

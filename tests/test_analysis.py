@@ -25,7 +25,7 @@ from wavegal.analysis import (
 )
 from wavegal.basis import enriched_basis, truncated_basis
 from wavegal.galerkin import DiscreteSolution, InterfaceProblem, assemble, solve
-from wavegal.piecewise import PiecewisePolynomial, gauss_rule
+from wavegal.piecewise import PiecewisePolynomial, gauss_rule, inner_product
 from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
@@ -215,6 +215,18 @@ class TestInvalidInput:
         with pytest.raises(ValueError, match="level 0 below"):
             coefficient_decay_probe(u, sys2, 0.4, range(0, 6))
 
+    @pytest.mark.parametrize("g,J,j_max,bad", [
+        (1.7, 3, 3, "interface point 1.7"),  # an empty level range checks gamma too
+        (0.4, 0, 0, "J=0 below"),
+        (math.pi / 6, 5, 4, "j_max=4 leaves no level"),
+    ])
+    def test_tail_energy_refuses_before_any_level(self, sys2, g, J, j_max, bad):
+        def u(x):
+            raise AssertionError("u evaluated before the input was checked")
+
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            tail_energy(u, sys2, g, J, j_max=j_max)
+
     @pytest.mark.parametrize("g", [1.7, 0.0, 1.0, float("nan")])
     def test_gamma_outside_unit_interval(self, sys2, g):
         u = lambda x: np.asarray(x, dtype=float)
@@ -341,6 +353,52 @@ class TestLatticePass:
                 idx = sample(len(ks), j)
                 ref = [coeff_split_at_gamma(u, pp, j, ks[i], g) for i in idx]
                 assert np.all(np.abs(c[idx] - ref) <= 1e-12 * c.max())
+
+    @pytest.mark.parametrize("j", [12, 15, 18])
+    def test_touching_against_exact_reference(self, sys2, j):
+        # u is a piecewise quintic kinked at gamma, so the 4-node rule is
+        # exact on every cell and the reference is exact rational
+        # arithmetic, rounded once; the bound is the lattice pass's own
+        # roundoff, 1e-14 of the terms 2^(j/2) |u| |eta~|_1 it cancels
+        g = Fraction(math.pi / 6)
+        left = (0, 1, -2, Fraction(3, 2), Fraction(1, 4), Fraction(-1, 3))
+        right = (sum(c * g**n for n, c in enumerate(left)), Fraction(-5, 2), 1, Fraction(1, 2),
+                 Fraction(-1, 5), Fraction(1, 7))
+        u = PiecewisePolynomial([0, g, 1], [left, right])
+        lat = _lattice(sys2.psi_dual[0], "interior")
+        (_, _, touch), = _level_families(sys2, j, float(g), [lat])
+        got = lattice(u.evaluate_array, lat, j, touch, float(g))
+        two = Fraction(2) ** j
+        want = [abs(float(two * inner_product(u, PiecewisePolynomial(
+            [(b + k) / two for b in lat.pp.breakpoints],  # eta~(2^j x - k)
+            [[c * two**n for n, c in enumerate(piece)] for piece in lat.pp.pieces])))) * 2.0 ** (j / 2)
+            for k in touch]
+        u_max = float(np.abs(u.evaluate_array(np.linspace(0.0, 1.0, 1001))).max())
+        lo, hi = float(lat.pp.support.lo), float(lat.pp.support.hi)
+        l1 = float(np.abs(lat.pp.evaluate_array(np.linspace(lo, hi, 3001))).mean() * (hi - lo))
+        assert len(touch) >= 1
+        assert np.all(np.abs(got - want) <= 1e-14 * 2 ** (j / 2) * u_max * l1)
+
+    def test_shallow_levels_match_ten_nodes(self, sys2, monkeypatch):
+        # on ex1's smooth sides 4 nodes per lattice cell already resolve
+        # every coefficient of j = 4..6 to the roundoff bound above
+        import wavegal.analysis as analysis
+
+        p = builtin_problem("ex1")
+        u_max = float(np.abs(p.u(np.linspace(0.0, 1.0, 1001))).max())
+
+        def coefficients(nodes):
+            monkeypatch.setattr(analysis, "DECAY_QUAD_NODES", nodes)
+            lattices = _dual_lattices(sys2)
+            return [lattice(p.u, lat, j, ks, p.gamma)
+                    for j in (4, 5, 6) for lat, ks, _ in _level_families(sys2, j, p.gamma, lattices)]
+
+        four, ten = coefficients(4), coefficients(10)
+        families = [(j, lat) for j in (4, 5, 6) for lat in _dual_lattices(sys2)]
+        for (j, lat), a, b in zip(families, four, ten):
+            lo, hi = float(lat.pp.support.lo), float(lat.pp.support.hi)
+            l1 = float(np.abs(lat.pp.evaluate_array(np.linspace(lo, hi, 3001))).mean() * (hi - lo))
+            assert len(a) == len(b) and np.all(np.abs(a - b) <= 1e-14 * 2 ** (j / 2) * u_max * l1)
 
     def test_tail_energy_matches_per_dual_sums(self, sys2):
         p = builtin_problem("ex1")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavegal.basis import (
     EnrichedBasis,
@@ -271,3 +273,50 @@ class TestIndexArrays:
         basis = truncated_basis(sys2, 2, 6)
         got = [("-".join(FAMILIES[f]), c, j, k) for f, c, j, k in keys(basis)]
         assert got == former_order(sys2, 2, 6, None)
+
+
+def assert_same_basis(got, want):
+    """Bit for bit: index arrays, float tables, levels and order."""
+    assert (got.J0, got.J, got.gamma) == (want.J0, want.J, want.gamma)
+    for name in ("family", "component", "j", "k", "breaks", "coeffs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.level_counts == want.level_counts
+
+
+class TestNestedLevels:
+    """Every level of a sweep is a row selection of its deepest level."""
+
+    def assert_nested(self, sys2, gamma, jmax):
+        top = enriched_basis(sys2, 2, jmax, gamma)
+        for J in range(2, jmax + 1):
+            assert_same_basis(top.level(J)[1], enriched_basis(sys2, 2, J, gamma))
+
+    @pytest.mark.parametrize("gamma", [GAMMA, math.sqrt(2) / 2, 0.5, 0.375, 0.5 + 2.0**-53])
+    def test_enriched_levels(self, sys2, gamma):
+        # pi/6 and sqrt(2)/2 are ex1-ex3's; dyadic gammas touch two neighbours
+        self.assert_nested(sys2, gamma, 12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(gamma=st.floats(1e-3, 1 - 1e-3))
+    def test_enriched_levels_any_gamma(self, sys2, gamma):
+        self.assert_nested(sys2, gamma, 8)
+
+    def test_truncated_levels(self, sys2):
+        top = truncated_basis(sys2, 2, 12)
+        for J in range(2, 13):
+            rows, basis = top.level(J)
+            assert rows.tolist() == list(range(2 ** (J + 1) - 1))
+            assert_same_basis(basis, truncated_basis(sys2, 2, J))
+
+    def test_top_level_is_every_row(self, sys2):
+        top = enriched_basis(sys2, 2, 7, GAMMA)
+        rows, basis = top.level(7)
+        assert rows.tolist() == list(range(top.N))
+        assert_same_basis(basis, top)
+
+    def test_levels_outside_rejected(self, sys2):
+        top = enriched_basis(sys2, 2, 5, GAMMA)
+        for J in (1, 6):
+            with pytest.raises(ValueError, match=f"level {J} outside"):
+                top.level(J)

@@ -237,8 +237,9 @@ class TestRun:
             assert len(records) == 5
 
     def test_one_mesh_per_level(self, monkeypatch):
-        # assembly and error measurement share each level's graded mesh and
-        # synthesis matrix
+        # every level is a principal sub-system of the top level's, so a
+        # sweep builds one graded mesh and one synthesis matrix in all, which
+        # assembly and every level's error measurement share
         import wavegal.galerkin as galerkin
 
         calls = {"_graded_mesh": 0, "_synthesis": 0}
@@ -252,7 +253,37 @@ class TestRun:
             for name in calls:
                 calls[name] = 0
             records = run(ExperimentConfig(problem="ex3", mode=mode, jmin=2, jmax=5))
-            assert calls == {"_graded_mesh": len(records), "_synthesis": len(records)}
+            assert len(records) == 4
+            assert calls == {"_graded_mesh": 1, "_synthesis": 1}
+
+    def test_one_assembly_per_sweep(self, monkeypatch):
+        # the basis, the assembly and the exact u and u' once per sweep; the
+        # solve, kappa and errors once per level, by their names in cli
+        import wavegal.galerkin as galerkin
+        import wavegal.problems as problems
+
+        calls = dict.fromkeys(("enriched_basis", "truncated_basis", "assemble", "solve",
+                               "condition_number", "error_norms", "values"), 0)
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            if name != "values":
+                monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for kind in (galerkin.ExactSolution, problems._FluxSolution):  # closed form, flux table
+            monkeypatch.setattr(kind, "values", counting("values", kind.values))
+        for problem in ("ex1", "ex3"):
+            for mode in ("enriched", "fem"):
+                calls.update(dict.fromkeys(calls, 0))
+                records = run(ExperimentConfig(problem=problem, mode=mode, jmin=3, jmax=6))
+                n = len(records)
+                assert calls == {"enriched_basis": mode == "enriched", "truncated_basis": mode == "fem",
+                                 "assemble": 1, "solve": n, "condition_number": n,
+                                 "error_norms": n, "values": 1}
 
     def test_one_factorization_per_level(self, monkeypatch):
         # condition_number inverts with the factor solve made, and the

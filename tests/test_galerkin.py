@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
+from wavegal.analysis import error_norms
 from wavegal.expressions import parse_expression
 from wavegal.galerkin import (
     DiscreteSolution,
@@ -31,6 +32,7 @@ from wavegal.galerkin import (
     evaluate_solution,
     export_matrix_market,
     solve,
+    subsystem,
 )
 from wavegal.piecewise import PiecewisePolynomial, inner_product
 from wavegal.problems import builtin_problem
@@ -671,6 +673,80 @@ class TestEvaluateSolution:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate_solution(sol, [0.3, bad, 0.7])
+
+
+class TestSubsystem:
+    """A level's system as a principal sub-system of a deeper level's."""
+
+    @pytest.mark.parametrize("mode", ["enriched", "fem"])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_matches_per_level_assembly(self, sys2, name, mode):
+        # the deeper mesh refines the level's own, so only the summation of
+        # A and b differs
+        p = builtin_problem(name)
+        make = (lambda J: enriched_basis(sys2, 2, J, p.gamma)) if mode == "enriched" else (
+            lambda J: truncated_basis(sys2, 2, J))
+        full = assemble(make(10), p)
+        for J in range(2, 11):
+            sub, ref = subsystem(full, J), assemble(make(J), p)
+            assert sub.basis.N == ref.basis.N and sub.basis.J == J
+            D = (sub.A - ref.A).tocoo()
+            d = ref.A.diagonal()
+            assert np.all(np.abs(D.data) <= 1e-14 * np.sqrt(d[D.row] * d[D.col]))
+            assert np.all(np.abs(sub.b - ref.b) <= 1e-14 * np.abs(ref.b).max())
+
+    def test_top_level_shares_everything(self, sys2):
+        p = builtin_problem("ex2")
+        full = assemble(enriched_basis(sys2, 2, 6, p.gamma), p)
+        top = subsystem(full, 6)
+        assert all(getattr(top, name) is getattr(full, name) for name in ("A", "b", "basis", "form"))
+        assert top is not full  # its factor is its own
+
+    @pytest.mark.parametrize("mode", ["enriched", "fem"])
+    def test_solutions_read_the_deeper_synthesis(self, sys2, mode):
+        # coefficients scattered into the deeper C's columns give the
+        # level's own u_J, at any point and in the error norms
+        p = builtin_problem("ex3")
+        make = (lambda J: enriched_basis(sys2, 2, J, p.gamma)) if mode == "enriched" else (
+            lambda J: truncated_basis(sys2, 2, J))
+        full = assemble(make(9), p)
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+        for J in (3, 6, 8):
+            system = subsystem(full, J)
+            assert system.form.C is full.form.C and len(system.form.cols) == system.basis.N
+            sol = solve(system)
+            own = DiscreteSolution(sol.coefficients, system.basis)  # its own mesh and C
+            for got, want in zip(evaluate_solution(sol, xs), evaluate_solution(own, xs)):
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
+            got, want = error_norms(sol, p, gamma=p.gamma), error_norms(own, p, gamma=p.gamma)
+            assert got.E_L2 == pytest.approx(want.E_L2, rel=1e-8)
+            assert got.E_H1 == pytest.approx(want.E_H1, rel=1e-8)
+        # a sub-system of a sub-system reads the same columns of the top C
+        inner, direct = subsystem(subsystem(full, 8), 6), subsystem(full, 6)
+        assert np.array_equal(inner.form.cols, direct.form.cols)
+        assert (inner.A != direct.A).nnz == 0 and np.array_equal(inner.b, direct.b)
+
+    def test_nodes_rebuilt_once_dropped(self, sys2):
+        # the sweep drops the Gauss nodes once u and u' are evaluated on
+        # them; a solution on that form still measures its errors
+        p = builtin_problem("ex1")
+        full = assemble(enriched_basis(sys2, 2, 7, p.gamma), p)
+        kept = error_norms(solve(subsystem(full, 5)), p)
+        exact = p.exact.values(p.gamma, full.form.x)
+        full.form = full.form._replace(x=None)
+        sol = solve(subsystem(full, 5))
+        assert error_norms(sol, p) == kept
+        assert error_norms(sol, exact, gamma=p.gamma) == kept
+
+    def test_given_values_need_the_solutions_own_mesh(self, sys2):
+        p = builtin_problem("ex1")
+        full = assemble(enriched_basis(sys2, 2, 5, p.gamma), p)
+        sol = solve(subsystem(full, 4))
+        u, du = p.exact.values(p.gamma, full.form.x)
+        with pytest.raises(ValueError, match="own mesh"):
+            error_norms(sol, (u[1:], du[1:]))
+        with pytest.raises(ValueError, match="own mesh"):  # a mesh split elsewhere
+            error_norms(sol, (u, du), gamma=0.25)
 
 
 class TestExport:
