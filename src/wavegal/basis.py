@@ -99,13 +99,8 @@ class EnrichedBasis:
     J: int
     gamma: float | None
     level_counts: dict = field(default_factory=dict)
-    # the float tables, gathered from the system's when not given
-    breaks: np.ndarray | None = field(default=None, repr=False)
-    coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.breaks is not None:
-            return
         # breakpoints (b + k) 2^-j and coefficients fl(c_n amp_j) 2^(j(n-1)),
         # with amp_j = 2^(j/2) rounded as dyadic_transform rounds it
         first, breaks, coeffs = self.sys.float_tables
@@ -151,8 +146,7 @@ class EnrichedBasis:
         levels, counts = np.unique(self.j[rows], return_counts=True)
         return rows, EnrichedBasis(
             self.sys, *(a[rows] for a in (self.family, self.component, self.j, self.k)),
-            J0=self.J0, J=J, gamma=self.gamma, level_counts=dict(zip(levels.tolist(), counts.tolist())),
-            breaks=self.breaks[rows], coeffs=self.coeffs[rows])
+            J0=self.J0, J=J, gamma=self.gamma, level_counts=dict(zip(levels.tolist(), counts.tolist())))
 
     @cached_property
     def _touching(self) -> np.ndarray:

@@ -8,7 +8,7 @@ solves one system, measured against the problem's exact solution.
 
 The spaces of a sweep are nested, so it builds the basis of its deepest
 level jmax once, assembles it once and evaluates the exact u and u' once
-on its graded mesh.  Each level J then solves the principal sub-system
+on its graded mesh, after the first level's factor is freed.  Each level J then solves the principal sub-system
 on the rows of its own basis (`galerkin.subsystem`), and its errors are
 measured on that one mesh.
 
@@ -155,15 +155,18 @@ def run(cfg: ExperimentConfig, log=None) -> list:
     else:
         basis = truncated_basis(sysdef, sysdef.J0, cfg.jmax)
     full = assemble(basis, problem)
-    exact = problem.exact.values(problem.gamma, full.form.x)
-    full.form = full.form._replace(x=None)  # what needed the nodes has them
 
-    records = []
+    records, exact = [], None
     for J in levels:
         system = subsystem(full, J)
         sol = solve(system)
         kappa = condition_number(system.A, system.factor)
         system.factor = None  # as large as A's fill: free it before measuring errors
+        if exact is None:  # once per sweep, when the first factor is freed
+            exact = problem.exact.values(problem.gamma, full.form.x)
+            # the nodes were kept for nothing else: drop them from every form
+            full.form = full.form._replace(x=None)
+            system.form = sol.form = sol.form._replace(x=None)
         pair = error_norms(sol, exact, gamma=problem.gamma)
         N = len(system.basis)
         records.append(ConvergenceRecord(J, N, kappa, pair.E_L2, pair.E_H1))

@@ -285,6 +285,44 @@ class TestRun:
                                  "assemble": 1, "solve": n, "condition_number": n,
                                  "error_norms": n, "values": 1}
 
+    def test_exact_values_when_first_factor_freed(self, monkeypatch):
+        # the exact u and u' are evaluated once the first level's factor is
+        # freed, so a single-level sweep holds no more than one assembled
+        # level did; no form that reaches error_norms still holds its nodes
+        import wavegal.galerkin as galerkin
+        import wavegal.problems as problems
+
+        events, systems = [], []
+        real_solve, real_errors = cli.solve, cli.error_norms
+
+        def keeping_solve(system):
+            systems.append(system)
+            return real_solve(system)
+
+        def errors(sol, *args, **kwargs):
+            assert sol.form.x is None
+            events.append("error_norms")
+            return real_errors(sol, *args, **kwargs)
+
+        def watched(real):
+            def values(*args, **kwargs):
+                assert systems and systems[0].factor is None
+                events.append("values")
+                return real(*args, **kwargs)
+            return values
+
+        monkeypatch.setattr(cli, "solve", keeping_solve)
+        monkeypatch.setattr(cli, "error_norms", errors)
+        for kind in (galerkin.ExactSolution, problems._FluxSolution):  # closed form, flux table
+            monkeypatch.setattr(kind, "values", watched(kind.values))
+        for problem in ("ex1", "ex3"):
+            for mode in ("enriched", "fem"):
+                for jmin in (3, 6):
+                    events.clear()
+                    systems.clear()
+                    records = run(ExperimentConfig(problem=problem, mode=mode, jmin=jmin, jmax=6))
+                    assert events == ["values"] + ["error_norms"] * len(records)
+
     def test_one_factorization_per_level(self, monkeypatch):
         # condition_number inverts with the factor solve made, and the
         # factor is dropped before the errors are measured
