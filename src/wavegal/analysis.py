@@ -1,16 +1,15 @@
 """Error measurement, convergence orders, and coefficient-decay diagnostics.
 
-Errors are integrated with the Gauss rule of the Galerkin assembly on
-the graded mesh of all basis breakpoints plus gamma (see
+Errors are integrated with the Gauss rule of the Galerkin assembly, on
+the mesh and synthesis matrix C that every solution carries from its
+system: the graded mesh of all basis breakpoints plus gamma (see
 `galerkin._graded_mesh`), so the quadrature resolves every enrichment
-level and never straddles the derivative jump.  A solution from
-`galerkin.solve` carries the mesh and synthesis matrix C its system was
-assembled on, and they are reused whenever they were split at the gamma
-asked for.  The discrete solution is evaluated from its per-cell
-polynomials, the coefficients C c (`galerkin._cell_values`), and the
-exact one from a problem's `ExactSolution.values`, u and u' together, or
-taken as given: a sweep whose levels share one mesh evaluates u and u'
-on it once and hands the pair to every level.
+level and never straddles the derivative jump.  The discrete solution is
+evaluated from its per-cell polynomials, the coefficients C c
+(`galerkin._cell_values`), and the exact one from the problem's
+`ExactSolution.values`, u and u' together, or taken as given at the
+mesh's Gauss nodes: a sweep whose levels share one mesh evaluates u and
+u' on it once and hands the pair to every level.
 
 The decay diagnostics measure the coefficients <u, 2^j eta~_{j;k}> of a
 known piecewise-smooth u against the dual wavelets, split into the family
@@ -39,8 +38,7 @@ import numpy as np
 
 from .galerkin import (
     DiscreteSolution,
-    ExactSolution,
-    _cell_form,
+    InterfaceProblem,
     _cell_values,
     evaluate_solution,  # noqa: F401  (looked up here by perfbench's traced run)
 )
@@ -106,43 +104,29 @@ class DecayProbe:
     slope: float
 
 
-def _reference_values(reference, form, own_mesh: bool):
-    if reference is None:
-        raise ValueError("error measurement requires a reference solution")
-    if isinstance(reference, tuple) and len(reference) == 2 and all(
-            isinstance(v, np.ndarray) for v in reference):
-        if not own_mesh or any(v.shape != form.w.shape for v in reference):
-            raise ValueError("reference values must be given at the Gauss nodes of the "
-                             "solution's own mesh, split at gamma")
-        return reference
-    x = form.nodes
-    exact = getattr(reference, "exact", None)
-    if isinstance(exact, ExactSolution):  # a problem: u and u' in one pass
-        return exact.values(reference.gamma, x)
-    if hasattr(reference, "u") and hasattr(reference, "du"):
-        return np.asarray(reference.u(x)), np.asarray(reference.du(x))
-    if isinstance(reference, tuple) and len(reference) == 2:
-        return np.asarray(reference[0](x)), np.asarray(reference[1](x))
-    raise TypeError(f"unsupported reference type {type(reference).__name__}")
-
-
-def error_norms(sol: DiscreteSolution, reference, gamma: float | None = None) -> ErrorPair:
+def error_norms(sol: DiscreteSolution, reference) -> ErrorPair:
     """L2 and H1-seminorm errors of sol against an exact solution.
 
-    The reference is a problem (or any object with u and du methods), a
-    pair of callables (u, u'), or a pair of arrays, the values of u and u'
-    already evaluated at the Gauss nodes of sol's own mesh (`sol.form.x`).
-    Gauss quadrature on every cell of the union of sol's breakpoints plus
-    gamma (default: the basis's), so each cell holds one polynomial piece
-    of every basis function and one side of gamma; u_J is evaluated from
-    its per-cell polynomials.  The mesh is sol's own when it was split at
-    this gamma, and is built otherwise.
+    Gauss quadrature on every cell of the mesh sol's system was assembled
+    on (`sol.form`), whose cells each hold one polynomial piece of every
+    basis function and lie on one side of gamma; u_J is evaluated from its
+    per-cell polynomials.  The reference is either the problem, whose
+    exact u and u' are evaluated at the mesh's Gauss nodes, or a pair of
+    arrays already at those nodes, (u, u') = `exact.values(gamma,
+    sol.form.nodes())`.  ValueError is raised for a problem whose gamma is
+    not an edge of the mesh, and for arrays of another shape.
     """
-    gamma = sol.basis.gamma if gamma is None else gamma
     form = sol.form
-    if form is None or form.gamma != gamma:
-        form = _cell_form(sol.basis, gamma)
-    ur, dur = _reference_values(reference, form, form is sol.form)
+    if isinstance(reference, InterfaceProblem):
+        if reference.exact is None:
+            raise ValueError("problem has no exact solution")
+        if not np.any(form.edges == reference.gamma):
+            raise ValueError(f"the solution's own mesh is not split at the problem's gamma {reference.gamma}")
+        ur, dur = reference.exact.values(reference.gamma, form.nodes())
+    else:
+        ur, dur = reference
+        if np.shape(ur) != form.w.shape or np.shape(dur) != form.w.shape:
+            raise ValueError("reference values must be given at the Gauss nodes of the solution's own mesh")
     uj, duj = _cell_values(form.C, form.edges, form.scatter(sol.coefficients))
     w = form.w.ravel()
     e_l2 = math.sqrt(float(np.dot(w, ((uj - ur) ** 2).ravel())))

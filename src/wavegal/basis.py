@@ -20,7 +20,7 @@ takes each coarser level as a row selection of it (`EnrichedBasis.level`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -58,9 +58,11 @@ class BasisFunction:
 
 def _make(sys: WaveletSystem, kind: str, side: str, j: int, k: int, comp: int) -> BasisFunction:
     prim = sys.family(kind, side, dual=False)[comp]
-    dual = sys.family(kind, side, dual=True)[comp]
     pp = prim.dyadic_transform(j, k).scale(Fraction(1, 2**j))
-    return BasisFunction(j, k, f"{kind}-{side}", comp, pp, dual.dyadic_transform(j, k).support)
+    # the dual's support, mapped: its transform is never needed whole
+    sup = sys.family(kind, side, dual=True)[comp].support
+    dual_support = Interval(Fraction(sup.lo + k, 2**j), Fraction(sup.hi + k, 2**j))
+    return BasisFunction(j, k, f"{kind}-{side}", comp, pp, dual_support)
 
 
 def _level(sys: WaveletSystem, kind: str, j: int) -> np.ndarray:
@@ -98,7 +100,6 @@ class EnrichedBasis:
     J0: int
     J: int
     gamma: float | None
-    level_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # breakpoints (b + k) 2^-j and coefficients fl(c_n amp_j) 2^(j(n-1)),
@@ -143,10 +144,15 @@ class EnrichedBasis:
         if self.gamma is not None:
             keep |= self._touching & (self.j <= (2 * self.sys.m - 2) * J - 1)
         rows = np.flatnonzero(keep)
-        levels, counts = np.unique(self.j[rows], return_counts=True)
         return rows, EnrichedBasis(
             self.sys, *(a[rows] for a in (self.family, self.component, self.j, self.k)),
-            J0=self.J0, J=J, gamma=self.gamma, level_counts=dict(zip(levels.tolist(), counts.tolist())))
+            J0=self.J0, J=J, gamma=self.gamma)
+
+    @cached_property
+    def level_counts(self) -> dict:
+        """The number of functions of each level j."""
+        levels, counts = np.unique(self.j, return_counts=True)
+        return dict(zip(levels.tolist(), counts.tolist()))
 
     @cached_property
     def _touching(self) -> np.ndarray:
@@ -163,14 +169,11 @@ def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
     levels J+1..top, in that order."""
     if J < J0:
         raise ValueError(f"J={J} must be >= J0={J0}")
-    blocks = [(J0, _level(sys, "scaling", J0))]
-    blocks += [(j, _level(sys, "wavelet", j)) for j in range(J0, J + 1)]
-    blocks += [(j, interface_set(sys, j, gamma)) for j in range(J + 1, top + 1)]
-    counts = {}
-    for level, block in blocks:
-        counts[level] = counts.get(level, 0) + len(block)
-    rows = np.concatenate([block for _, block in blocks])
-    return EnrichedBasis(sys, *rows.T, J0=J0, J=J, gamma=gamma, level_counts=counts)
+    blocks = [_level(sys, "scaling", J0)]
+    blocks += [_level(sys, "wavelet", j) for j in range(J0, J + 1)]
+    blocks += [interface_set(sys, j, gamma) for j in range(J + 1, top + 1)]
+    rows = np.concatenate(blocks)
+    return EnrichedBasis(sys, *rows.T, J0=J0, J=J, gamma=gamma)
 
 
 def truncated_basis(sys: WaveletSystem, J0: int, J: int) -> EnrichedBasis:

@@ -7,10 +7,11 @@ two-column plot data (log2 h versus log2 E) per error norm.  Each level
 solves one system, measured against the problem's exact solution.
 
 The spaces of a sweep are nested, so it builds the basis of its deepest
-level jmax once, assembles it once and evaluates the exact u and u' once
-on its graded mesh, after the first level's factor is freed.  Each level J then solves the principal sub-system
-on the rows of its own basis (`galerkin.subsystem`), and its errors are
-measured on that one mesh.
+level jmax once and assembles it once.  Each level J then solves the
+principal sub-system on the rows of its own basis (`galerkin.subsystem`),
+and its errors are measured on that one graded mesh, at whose Gauss
+nodes the exact u and u' are evaluated once, after the first level's
+factor is freed.
 
 Configs are INI files with an [experiment] section and an optional
 [problem] section; every experiment key can be overridden from the
@@ -163,11 +164,8 @@ def run(cfg: ExperimentConfig, log=None) -> list:
         kappa = condition_number(system.A, system.factor)
         system.factor = None  # as large as A's fill: free it before measuring errors
         if exact is None:  # once per sweep, when the first factor is freed
-            exact = problem.exact.values(problem.gamma, full.form.x)
-            # the nodes were kept for nothing else: drop them from every form
-            full.form = full.form._replace(x=None)
-            system.form = sol.form = sol.form._replace(x=None)
-        pair = error_norms(sol, exact, gamma=problem.gamma)
+            exact = problem.exact.values(problem.gamma, full.form.nodes())
+        pair = error_norms(sol, exact)
         N = len(system.basis)
         records.append(ConvergenceRecord(J, N, kappa, pair.E_L2, pair.E_H1))
         if log:

@@ -25,10 +25,12 @@ same quadrature (3.6e-13 when summed node by node).  Everything reads
 the basis's float tables (`EnrichedBasis.breaks` and `coeffs`, gathered
 from the system's per-family tables), never the exact polynomials that
 `basis[i]` builds on access.
-`assemble` keeps the mesh, its Gauss nodes and weights and C together
-(`_CellForm`); the `LinearSystem` carries them, and `solve` hands them to
-its `DiscreteSolution`, so errors are measured on the mesh and C the
-system was assembled from.
+Every `LinearSystem` and `DiscreteSolution` carries its mesh: `assemble`
+keeps the edges, the Gauss weights and C together (`_CellForm`), and
+`solve` hands them on, so errors are measured on the mesh and C the
+system was assembled from.  The Gauss nodes are rebuilt from the edges
+when asked for (`_CellForm.nodes`), bit for bit the ones a and f were
+read at.
 
 The enriched spaces are nested, so the system of a coarser level J is
 the principal sub-system of a deeper one on the rows of its basis
@@ -171,23 +173,20 @@ class InterfaceProblem:
 
 
 class _CellForm(NamedTuple):
-    """The graded mesh of a basis split at gamma: its edges, the Gauss nodes
-    x and weights w of its cells (cells x QUAD_NODES each), and the
-    synthesis matrix C of the basis on it.  x may be dropped (None) once
-    what needs it has been evaluated; `_gauss_nodes(edges)` rebuilds it.
-    A sub-system's form holds a deeper basis's C, and cols, the columns of
-    its own functions."""
+    """The graded mesh of a basis split at gamma: its edges, the Gauss
+    weights w of its cells (cells x QUAD_NODES), and the synthesis matrix
+    C of the basis on it.  A sub-system's form holds a deeper basis's C,
+    and cols, the columns of its own functions."""
 
-    gamma: float | None
     edges: np.ndarray
-    x: np.ndarray | None
     w: np.ndarray
     C: scipy.sparse.csc_matrix
     cols: np.ndarray | None = None
 
-    @property
     def nodes(self) -> np.ndarray:
-        return self.x if self.x is not None else _gauss_nodes(self.edges)[0]
+        """The Gauss nodes of the cells (cells x QUAD_NODES), bit for bit
+        the ones the system was assembled at."""
+        return _gauss_nodes(self.edges)[0]
 
     def scatter(self, coefficients) -> np.ndarray:
         """Coefficients of the basis's functions in C's columns."""
@@ -203,7 +202,7 @@ class LinearSystem:
     A: scipy.sparse.csr_matrix
     b: np.ndarray
     basis: EnrichedBasis
-    form: _CellForm | None = field(default=None, repr=False)
+    form: _CellForm = field(repr=False)
     # A's SPD factor, set by `solve` for `condition_number` to reuse; it is
     # as large as A's fill, so a caller drops it once kappa is known
     factor: scipy.sparse.linalg.SuperLU | None = field(default=None, repr=False)
@@ -213,20 +212,19 @@ class LinearSystem:
 class DiscreteSolution:
     coefficients: np.ndarray
     basis: EnrichedBasis
-    form: _CellForm | None = field(default=None, repr=False, compare=False)
+    form: _CellForm = field(repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.basis):
             raise ValueError("coefficient count does not match basis size")
 
 
-def _graded_mesh(basis, gamma=None):
+def _graded_mesh(basis, gamma):
     """Edges of the graded mesh (the union of the breakpoints of all
-    functions in `basis`, plus gamma when given), the QUAD_NODES Gauss
-    nodes x of each of its cells and their weights w, both as cells x
-    QUAD_NODES arrays."""
-    pts = basis.breaks[np.isfinite(basis.breaks)]
-    edges = np.unique(pts if gamma is None else np.append(pts, gamma))
+    functions in `basis`, plus gamma), the QUAD_NODES Gauss nodes x of
+    each of its cells and their weights w, both as cells x QUAD_NODES
+    arrays."""
+    edges = np.unique(np.append(basis.breaks[np.isfinite(basis.breaks)], gamma))
     return (edges, *_gauss_nodes(edges))
 
 
@@ -357,50 +355,46 @@ def _stiffness_product(problem, edges, x, C):
     return (S.T @ S).tocsr()
 
 
-def _stiffness(basis, problem, form):
-    """`_stiffness_product` on `form` with the structural zeros of
-    `_structural_zeros` not stored."""
-    A = _stiffness_product(problem, form.edges, form.x, form.C)
+def _stiffness(basis, problem, edges, x, C):
+    """`_stiffness_product` with the structural zeros of `_structural_zeros`
+    not stored."""
+    A = _stiffness_product(problem, edges, x, C)
     row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     keep = ~_structural_zeros(basis, problem, row, A.indices)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=A.shape[0]))])
     return scipy.sparse.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
-def _load(problem, form):
+def _load(problem, edges, x, w, C):
     """b = C^T m - g_gamma eta(gamma): m holds each cell's moments
     int_c f t^n, and eta(gamma) is C's t^0 row on the cell right of gamma."""
-    C = form.C
-    p = C.shape[0] // len(form.w)
+    p = C.shape[0] // len(w)
     rhs = np.zeros((C.shape[0], 2))
-    rhs[:, 0] = ((form.w * problem.f(form.x)) @ _cell_powers(p)).ravel()
-    rhs[p * np.searchsorted(form.edges, problem.gamma), 1] = problem.g_gamma
+    rhs[:, 0] = ((w * problem.f(x)) @ _cell_powers(p)).ravel()
+    rhs[p * np.searchsorted(edges, problem.gamma), 1] = problem.g_gamma
     load, dirac = (C.T @ rhs).T
     return load - dirac
 
 
-def _cell_form(basis, gamma):
-    """The graded mesh of `basis` split at gamma, its Gauss nodes and
-    weights, and the basis's synthesis matrix on it."""
-    edges, x, w = _graded_mesh(basis, gamma)
-    return _CellForm(gamma, edges, x, w, _synthesis(basis, edges))
-
-
 def assemble_stiffness(basis: EnrichedBasis, problem: InterfaceProblem) -> scipy.sparse.csr_matrix:
     """Stiffness matrix A[i,j] = int a eta_i' eta_j', split at the interface."""
-    return _stiffness(basis, problem, _cell_form(basis, problem.gamma))
+    return assemble(basis, problem).A
 
 
 def assemble_load(basis: EnrichedBasis, problem: InterfaceProblem) -> np.ndarray:
     """Load vector b[i] = int f eta_i - g_gamma eta_i(gamma)."""
-    return _load(problem, _cell_form(basis, problem.gamma))
+    return assemble(basis, problem).b
 
 
 def assemble(basis: EnrichedBasis, problem: InterfaceProblem) -> LinearSystem:
-    """Stiffness and load from one graded mesh and one synthesis matrix,
-    which the system keeps for measuring its solution's errors."""
-    form = _cell_form(basis, problem.gamma)
-    return LinearSystem(_stiffness(basis, problem, form), _load(problem, form), basis, form)
+    """Stiffness and load on the graded mesh of `basis` split at gamma, from
+    one synthesis matrix; the system keeps the mesh, its Gauss weights and
+    C for measuring its solution's errors.  a and f are read at the Gauss
+    nodes, which are not kept."""
+    edges, x, w = _graded_mesh(basis, problem.gamma)
+    C = _synthesis(basis, edges)
+    A, b = _stiffness(basis, problem, edges, x, C), _load(problem, edges, x, w, C)
+    return LinearSystem(A, b, basis, _CellForm(edges, w, C))
 
 
 def subsystem(system: LinearSystem, J: int) -> LinearSystem:
@@ -412,10 +406,8 @@ def subsystem(system: LinearSystem, J: int) -> LinearSystem:
     if J == system.basis.J:
         return LinearSystem(system.A, system.b, system.basis, system.form)
     rows, basis = system.basis.level(J)
-    form = system.form
-    if form is not None:
-        form = form._replace(cols=rows if form.cols is None else form.cols[rows])
-    return LinearSystem(system.A[rows][:, rows], system.b[rows], basis, form)
+    cols = rows if system.form.cols is None else system.form.cols[rows]
+    return LinearSystem(system.A[rows][:, rows], system.b[rows], basis, system.form._replace(cols=cols))
 
 
 def _spd_factor(A):
@@ -478,8 +470,8 @@ def condition_number(A, factor=None) -> float:
 def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise values and derivative values of u_J = sum c_i eta_i.
 
-    Reads the per-cell coefficients C c on the graded mesh of `sol.form`
-    (or of the basis split at its own gamma), as error measurement does.
+    Reads the per-cell coefficients C c on the graded mesh of `sol.form`,
+    as error measurement does.
     A point on a mesh edge reads the cell to its left, except x = 0,
     which reads the first cell: u_J is continuous, so only the derivative
     depends on this, and there it is the left limit (the right limit at 0).
@@ -489,9 +481,8 @@ def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarr
         raise ValueError("cannot evaluate at non-finite points")
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation grid must lie in [0, 1]")
-    form = sol.form if sol.form is not None else _cell_form(sol.basis, sol.basis.gamma)
-    edges = form.edges
-    U = (form.C @ form.scatter(sol.coefficients)).reshape(len(edges) - 1, -1)
+    edges = sol.form.edges
+    U = (sol.form.C @ sol.form.scatter(sol.coefficients)).reshape(len(edges) - 1, -1)
     cell = np.clip(np.searchsorted(edges, x) - 1, 0, len(edges) - 2)
     h = edges[cell + 1] - edges[cell]
     t = (x - edges[cell]) / h

@@ -151,10 +151,11 @@ class _FluxSide:
     The nested rule cumulates F, P and Q on a fixed mesh from the side's
     left end; P and Q are kept as the side's totals, which fix C.
     `tabulate` then cumulates u itself, int (C - F~)/a, which does not
-    cancel where |C P| >> |u|; `rule` completes F and u from the mesh node
-    at or before a query point.  `tabulate` fits each cell a Chebyshev
-    interpolant of the rule's (u, u'), and calling the side evaluates
-    that table."""
+    cancel where |C P| >> |u|; `rule` steps F and u from the mesh node at
+    or before a start point to it, and from there to the query points.
+    `tabulate` fits each cell a Chebyshev interpolant of the rule's
+    (u, u') started at the cell's left edge, and calling the side
+    evaluates that table."""
 
     def __init__(self, a, f, lo, hi, F0):
         self.a, self.f, self.x = a, f, np.linspace(lo, hi, _FLUX_CELLS + 1)
@@ -171,21 +172,34 @@ class _FluxSide:
         s, hw = lo[:, None] + h, (x - lo)[:, None] * w
         return (hw * self.f(s)).sum(-1), (hw / self.a(s)).sum(-1), (hw * F / self.a(s)).sum(-1)
 
-    def rule(self, x):
-        """(u, u') at the points x (1-d) by the nested rule."""
-        k = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, _FLUX_CELLS - 1)
-        dF, dP, G = self._steps(self.x[k], x)
-        flux = self.C - self.F[k]
-        return np.array([self.U[k] + flux * dP - G, (flux - dF) / self.a(x)])
+    def _step(self, lo, F, u, x):
+        """F, u and the flux C - F at the points x (1-d), stepped from F and
+        u at the points lo <= x, elementwise."""
+        dF, dP, G = self._steps(lo, x)
+        flux = self.C - F
+        return F + dF, u + flux * dP - G, flux - dF
+
+    def rule(self, x, lo):
+        """(u, u') at the points x (1-d) by the nested rule, stepped from the
+        points lo <= x (one per point), where F and u are stepped to once
+        per distinct lo from the mesh node at or before it.  `tabulate`
+        starts each point at its table cell's left edge, so halving a cell
+        shortens every step taken in it."""
+        starts, at = np.unique(lo, return_inverse=True)
+        k = np.clip(np.searchsorted(self.x, starts, side="right") - 1, 0, _FLUX_CELLS - 1)
+        F, u, _ = self._step(self.x[k], self.F[k], self.U[k], starts)
+        _, u, flux = self._step(lo, F[at], u[at], x)
+        return np.array([u, flux / self.a(x)])
 
     def tabulate(self, C, side, end):
         """Set C, cumulate u so that it vanishes at mesh node `end`, and fit
         the table from the rule, starting from the rule's cells.
 
-        Each cell interpolates the rule's u and u' at _TABLE_DEGREE + 1
-        Chebyshev points, and is checked against it at its _FLUX_NODES
-        Gauss nodes and both ends, to _TABLE_TOL times the largest |u| and
-        |u'| the rule gave on this side.  A cell that fails is halved.
+        Each cell takes the rule from its left edge: it interpolates the
+        rule's u and u' at _TABLE_DEGREE + 1 Chebyshev points, and is
+        checked against it at its _FLUX_NODES Gauss nodes and both ends, to
+        _TABLE_TOL times the largest |u| and |u'| the rule gave on this
+        side.  A cell that fails is halved.
         ExpressionError is raised when a cell still fails after
         _TABLE_DEPTH halvings, when halving would take the side past
         _TABLE_CELLS cells, or when the rule gives a value that is not
@@ -202,7 +216,7 @@ class _FluxSide:
         for depth in range(_TABLE_DEPTH + 1):
             x = np.column_stack([lo[:, None] + (hi - lo)[:, None] * t, lo, hi])
             with np.errstate(all="ignore"):  # a singular source is refused below
-                vals = self.rule(x.ravel()).reshape(2, len(lo), -1)
+                vals = self.rule(x.ravel(), np.repeat(lo, x.shape[1])).reshape(2, len(lo), -1)
             finite = np.all(np.isfinite(vals), axis=(0, 2))
             if not finite.all():
                 _refuse(side, lo[~finite], hi[~finite], "the rule is not finite")

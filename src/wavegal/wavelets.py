@@ -438,7 +438,7 @@ def full_verification(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -> Veri
     }
     # ladder checks raise on failure; record as residual instead
     try:
-        dual_antiderivative_ladder(sys, _verified=True)
+        dual_antiderivative_ladder(sys)
         extra["dual-antiderivative-ladder"] = 0.0
     except SystemVerificationError as e:
         extra["dual-antiderivative-ladder"] = e.residual
@@ -450,7 +450,7 @@ def full_verification(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -> Veri
 # ---------------------------------------------------------------------------
 
 
-def dual_antiderivative_ladder(sys: WaveletSystem, _verified: bool = False):
+def dual_antiderivative_ladder(sys: WaveletSystem):
     """Iterated antiderivatives of the dual wavelets, with property checks.
 
     Interior and right-boundary duals integrate from the left; left-

@@ -22,7 +22,7 @@ from wavegal.analysis import (
 )
 from wavegal.basis import enriched_basis, truncated_basis
 from wavegal.cli import ExperimentConfig, run
-from wavegal.galerkin import InterfaceProblem, assemble, condition_number, solve
+from wavegal.galerkin import ExactSolution, InterfaceProblem, assemble, condition_number, solve
 from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system, full_verification
 
@@ -54,7 +54,7 @@ def sweep(sys2, problem, jmin, jmax, mode="enriched"):
         system = assemble(basis, problem)
         sol = solve(system)
         kappa = condition_number(system.A)
-        pair = error_norms(sol, problem, gamma=problem.gamma)
+        pair = error_norms(sol, problem)
         records.append(ConvergenceRecord(J, basis.N, kappa, pair.E_L2, pair.E_H1))
     convergence_orders(records)
     return records, time.perf_counter() - t0
@@ -92,13 +92,14 @@ def test_criterion_02_patch_test(sys2):
     zero = lambda x: np.zeros(np.shape(x))
     one = lambda x: np.ones(np.shape(x))
     problem = InterfaceProblem(
-        gamma=0.5, a_minus=one, a_plus=one, f_minus=zero, f_plus=zero, g_gamma=1.0
+        gamma=0.5, a_minus=one, a_plus=one, f_minus=zero, f_plus=zero, g_gamma=1.0,
+        exact=ExactSolution(tent, tent, dtent, dtent),
     )
     worst = 0.0
     for J in range(2, 9):
         basis = enriched_basis(sys2, 2, J, 0.5)
         sol = solve(assemble(basis, problem))
-        pair = error_norms(sol, (tent, dtent), gamma=0.5)
+        pair = error_norms(sol, problem)
         worst = max(worst, pair.E_L2)
         assert pair.E_L2 <= 1e-9, f"patch test failed at J={J}: E_L2={pair.E_L2:.3e}"
     elapsed = time.perf_counter() - t0

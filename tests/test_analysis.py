@@ -24,7 +24,7 @@ from wavegal.analysis import (
     write_records_csv,
 )
 from wavegal.basis import enriched_basis, truncated_basis
-from wavegal.galerkin import DiscreteSolution, InterfaceProblem, assemble, solve
+from wavegal.galerkin import DiscreteSolution, ExactSolution, InterfaceProblem, assemble, solve
 from wavegal.piecewise import PiecewisePolynomial, gauss_rule, inner_product
 from wavegal.problems import builtin_problem
 from wavegal.wavelets import builtin_order2_system
@@ -57,9 +57,15 @@ def expand(sol, x):
     return u, du
 
 
+def zero_problem(gamma=0.3, exact=None):
+    zero, one = (lambda x, v=v: np.full(np.shape(x), v) for v in (0.0, 1.0))
+    return InterfaceProblem(gamma=gamma, a_minus=one, a_plus=one, f_minus=zero, f_plus=zero,
+                            exact=exact)
+
+
 def zero_solution(sys2, J=2, gamma=0.3):
     eb = enriched_basis(sys2, 2, J, gamma)
-    return DiscreteSolution(np.zeros(eb.N), eb)
+    return DiscreteSolution(np.zeros(eb.N), eb, assemble(eb, zero_problem(gamma)).form)
 
 
 class TestErrorNorms:
@@ -67,7 +73,7 @@ class TestErrorNorms:
         sol = zero_solution(sys2)
         u = lambda x: x * (1 - x)
         du = lambda x: 1 - 2 * np.asarray(x)
-        pair = error_norms(sol, (u, du))
+        pair = error_norms(sol, zero_problem(exact=ExactSolution(u, u, du, du)))
         assert pair.E_L2 == pytest.approx(1 / math.sqrt(30), abs=1e-6)
         assert pair.E_H1 == pytest.approx(math.sqrt(1 / 3), abs=1e-6)
 
@@ -84,14 +90,16 @@ class TestErrorNorms:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     @pytest.mark.parametrize("enriched", [True, False])
     def test_solved_and_hand_built_agree_bit_for_bit(self, sys2, name, enriched):
-        # the mesh carried from assembly and the one built for a bare
-        # DiscreteSolution give the same numbers
+        # a solution hand-built on the mesh of a second assembly of its basis
+        # measures what the solved one does, against the problem or against
+        # the problem's values at the mesh's nodes
         p = builtin_problem(name)
         basis = enriched_basis(sys2, 2, 6, p.gamma) if enriched else truncated_basis(sys2, 2, 6)
         sol = solve(assemble(basis, p))
-        assert sol.form is not None
-        bare = DiscreteSolution(sol.coefficients, basis)
-        assert error_norms(sol, p, gamma=p.gamma) == error_norms(bare, p, gamma=p.gamma)
+        hand = DiscreteSolution(sol.coefficients, basis, assemble(basis, p).form)
+        want = error_norms(sol, p)
+        assert error_norms(hand, p) == want
+        assert error_norms(hand, p.exact.values(p.gamma, hand.form.nodes())) == want
 
     def test_bad_reference_type(self, sys2):
         sol = zero_solution(sys2)
@@ -99,8 +107,10 @@ class TestErrorNorms:
             error_norms(sol, object())
         with pytest.raises(TypeError):  # references are exact solutions, never discrete
             error_norms(sol, sol)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             error_norms(sol, None)
+        with pytest.raises(ValueError, match="no exact solution"):
+            error_norms(sol, zero_problem())
 
 
 class TestConvergenceOrders:

@@ -1,6 +1,7 @@
 """Unit tests for basis construction, truncation, and interface enrichment."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ class TestLevelSets:
         assert float(bf.dual_support.lo) == pytest.approx(want_lo)
         assert float(bf.dual_support.hi) == pytest.approx(want_hi)
 
+    def test_dual_support_equals_transformed_duals(self, sys2):
+        # every dual family, boundary ones included: the mapped support is the
+        # transformed dual's, as equal Fractions
+        for kind, side in FAMILIES:
+            for comp, pd in enumerate(sys2.family(kind, side, dual=True)):
+                for j in (2, 3, 6, 9):
+                    ks = {"left": [0], "right": [2**j - 1]}.get(side, sys2.interior_range(kind, j)[:3])
+                    for k in ks:
+                        got = _make(sys2, kind, side, j, k, comp).dual_support
+                        want = pd.dyadic_transform(j, k).support
+                        assert isinstance(got.lo, Fraction) and isinstance(got.hi, Fraction)
+                        assert (got.lo, got.hi) == (want.lo, want.hi)
+
 
 class TestTruncatedBasis:
     def test_dimension_formula(self, sys2):
@@ -184,6 +198,8 @@ class TestEnrichedBasis:
         top = (2 * sys2.m - 2) * J - 1
         assert extra == sorted(extra)
         assert min(extra) == J + 1 and max(extra) == top
+        want = {j: len(interface_set(sys2, j, GAMMA)) for j in range(J + 1, top + 1)}
+        assert {j: n for j, n in enr.level_counts.items() if j > J} == want
 
     def test_growth_ratio_tends_to_two(self, sys2):
         ns = [enriched_basis(sys2, 2, J, GAMMA).N for J in range(5, 10)]

