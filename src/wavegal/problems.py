@@ -17,15 +17,16 @@ sources are given and no exact solution is, u is built by quadrature of
 the flux a u' = C - int_0^x f + g [x > gamma], with C fixed by u(1) = 0,
 so every problem has an exact u to measure errors against.
 
-The quadrature runs once, when the problem is built: a nested Gauss rule
-on _FLUX_CELLS cells per side of gamma fills a table of per-cell
-Chebyshev interpolants of u and u', each checked against the rule to
-_TABLE_TOL of the side's largest |u| and |u'|.  A cell that fails is
-halved, at most _TABLE_DEPTH times and up to _TABLE_CELLS cells per
-side; past either limit, or where the rule is not finite, the problem
-is refused with ExpressionError, naming the side and the cell.  u and
-u' are then read from the table: one searchsorted and one Clenshaw
-pass.
+The quadrature runs once, when the problem is built.  Each side of gamma
+starts from _FLUX_CELLS equal cells; on each, f, 1/a and G/a are
+interpolated at Chebyshev points, G being the exact integral of f's
+interpolant from the cell's left edge, and a cell is halved while the
+last coefficients of G, 1/a or G/a exceed _TABLE_TOL of the side's
+scale, at most _TABLE_DEPTH times and up to _TABLE_CELLS cells per side.
+Past either limit, or where f or 1/a is not finite, the problem is
+refused with ExpressionError, naming the side and the cell.  u' and u
+are then the series' exact products and integrals, read per cell by
+one searchsorted and one Clenshaw pass.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 
 from .expressions import Expression, ExpressionError, parse_expression
 from .galerkin import ExactSolution, InterfaceProblem
-from .piecewise import gauss_rule
 
 __all__ = ["BUILTIN_PROBLEMS", "builtin_problem", "problem_from_spec"]
 
@@ -102,12 +102,12 @@ def _manufactured_source(a: Expression, u: Expression) -> Expression:
     return -(a * u.diff()).diff()
 
 
-# flux quadrature: the nested rule's mesh cells per side of gamma and its
-# Gauss nodes per cell (and per sub-interval for F); the table's Chebyshev
-# degree, its check tolerance relative to the side's max |u| and max |u'|,
-# and the most times a table cell is halved, and the most cells a side may
-# have, before the problem is refused
-_FLUX_CELLS, _FLUX_NODES = 32, 10
+# flux table: the cells each side starts from; the Chebyshev degree of the
+# interpolants of f, 1/a and G/a on a cell, and the tolerance their last
+# two coefficients are checked to, relative to the side's scale; the most
+# times a cell is halved, and the most cells a side may have, before the
+# problem is refused
+_FLUX_CELLS = 32
 _TABLE_DEGREE, _TABLE_TOL, _TABLE_DEPTH, _TABLE_CELLS = 16, 1e-14, 30, 512
 
 
@@ -145,104 +145,87 @@ def _clenshaw(c, s, k):
 
 class _FluxSide:
     """u and u' on one side of gamma from the flux a u' = C - F~, where
-    F~ = int_0^x f - g [x > gamma]: u = C P - Q with P = int 1/a and
-    Q = int F~/a.
+    F~ = int_0^x f - g [x > gamma], tabulated per cell as Chebyshev series.
 
-    The nested rule cumulates F, P and Q on a fixed mesh from the side's
-    left end; P and Q are kept as the side's totals, which fix C.
-    `tabulate` then cumulates u itself, int (C - F~)/a, which does not
-    cancel where |C P| >> |u|; `rule` steps F and u from the mesh node at
-    or before a start point to it, and from there to the query points.
-    `tabulate` fits each cell a Chebyshev interpolant of the rule's
-    (u, u') started at the cell's left edge, and calling the side
-    evaluates that table."""
+    On each cell [l, h], f, 1/a and G/a are interpolated at the
+    _TABLE_DEGREE + 1 first-kind Chebyshev points, where G = int_l^x f is
+    the exact integral of f's interpolant.  So F~ = F~(l) + G, and
+    P = int 1/a and Q = int F~/a over the side, which fix C, come exactly
+    from the series.  `tabulate` then sets u' = (C - F~(l)) / a - G/a and u,
+    its exact integral, and calling the side evaluates that table."""
 
-    def __init__(self, a, f, lo, hi, F0):
-        self.a, self.f, self.x = a, f, np.linspace(lo, hi, _FLUX_CELLS + 1)
-        dF, self.dP, self.G = self._steps(self.x[:-1], self.x[1:])
-        self.F = F0 + np.concatenate([[0.0], np.cumsum(dF)])
-        self.P = np.cumsum(self.dP)[-1]
-        self.Q = np.cumsum(self.F[:-1] * self.dP + self.G)[-1]
-
-    def _steps(self, lo, x):
-        """int_lo^x of f, of 1/a and of (int_lo^s f) / a ds, elementwise."""
-        t, w = gauss_rule(_FLUX_NODES)
-        h = (x - lo)[:, None] * t
-        F = h * (w * self.f(lo[:, None, None] + h[..., None] * t)).sum(-1)
-        s, hw = lo[:, None] + h, (x - lo)[:, None] * w
-        return (hw * self.f(s)).sum(-1), (hw / self.a(s)).sum(-1), (hw * F / self.a(s)).sum(-1)
-
-    def _step(self, lo, F, u, x):
-        """F, u and the flux C - F at the points x (1-d), stepped from F and
-        u at the points lo <= x, elementwise."""
-        dF, dP, G = self._steps(lo, x)
-        flux = self.C - F
-        return F + dF, u + flux * dP - G, flux - dF
-
-    def rule(self, x, lo):
-        """(u, u') at the points x (1-d) by the nested rule, stepped from the
-        points lo <= x (one per point), where F and u are stepped to once
-        per distinct lo from the mesh node at or before it.  `tabulate`
-        starts each point at its table cell's left edge, so halving a cell
-        shortens every step taken in it."""
-        starts, at = np.unique(lo, return_inverse=True)
-        k = np.clip(np.searchsorted(self.x, starts, side="right") - 1, 0, _FLUX_CELLS - 1)
-        F, u, _ = self._step(self.x[k], self.F[k], self.U[k], starts)
-        _, u, flux = self._step(lo, F[at], u[at], x)
-        return np.array([u, flux / self.a(x)])
-
-    def tabulate(self, C, side, end):
-        """Set C, cumulate u so that it vanishes at mesh node `end`, and fit
-        the table from the rule, starting from the rule's cells.
-
-        Each cell takes the rule from its left edge: it interpolates the
-        rule's u and u' at _TABLE_DEGREE + 1 Chebyshev points, and is
-        checked against it at its _FLUX_NODES Gauss nodes and both ends, to
-        _TABLE_TOL times the largest |u| and |u'| the rule gave on this
-        side.  A cell that fails is halved.
-        ExpressionError is raised when a cell still fails after
-        _TABLE_DEPTH halvings, when halving would take the side past
-        _TABLE_CELLS cells, or when the rule gives a value that is not
-        finite (a source singular at a cell's end).
-        """
-        self.C = C
-        U = np.concatenate([[0.0], np.cumsum((C - self.F[:-1]) * self.dP - self.G)])
-        self.U = U - U[end]
+    def __init__(self, a, f, lo, hi, F0, side):
+        """Build the side's cells from _FLUX_CELLS equal ones, halving a cell
+        while the last two coefficients of G, 1/a or G/a exceed _TABLE_TOL
+        of the side's scale: |F0| + sum over the cells of max |G| for G,
+        max |1/a| for 1/a and their product for G/a.  ExpressionError is
+        raised where f or 1/a is not finite at a point, when a cell still
+        fails after _TABLE_DEPTH halvings, or when halving would take the
+        side past _TABLE_CELLS cells."""
         n = _TABLE_DEGREE + 1
-        tg, _ = gauss_rule(_FLUX_NODES)
-        t = np.concatenate([(1 - np.cos(np.pi * (np.arange(n) + 0.5) / n)) / 2, tg])
-        lo, hi = self.x[:-1], self.x[1:]
-        scale, done, kept = np.zeros((2, 1)), [], 0
+        # T_j(s_i) = cos(j (2i + 1) pi / 2n), its angle reduced in integers
+        # first, so that no recurrence's or multiple's rounding enters
+        m = np.outer(2 * np.arange(n) + 1, np.arange(n + 1)) % (4 * n)
+        V = np.cos(np.pi * m / (2 * n))
+        s = V[:, 1]
+        # values at the points to Chebyshev coefficients: the discrete cosine transform
+        T = V[:, :n].T * (2 / n)
+        T[0] /= 2
+        edges = np.linspace(lo, hi, _FLUX_CELLS + 1)
+        lo, hi = edges[:-1], edges[1:]
+        F_scale = r_scale = G_done = 0.0
+        done, kept = [], 0
         for depth in range(_TABLE_DEPTH + 1):
-            x = np.column_stack([lo[:, None] + (hi - lo)[:, None] * t, lo, hi])
-            with np.errstate(all="ignore"):  # a singular source is refused below
-                vals = self.rule(x.ravel(), np.repeat(lo, x.shape[1])).reshape(2, len(lo), -1)
-            finite = np.all(np.isfinite(vals), axis=(0, 2))
+            x = lo + (hi - lo) * (s[:, None] + 1) / 2
+            with np.errstate(all="ignore"):  # refused below
+                rx, fx = 1 / a(x), f(x)
+            finite = np.isfinite(rx).all(axis=0) & np.isfinite(fx).all(axis=0)
             if not finite.all():
-                _refuse(side, lo[~finite], hi[~finite], "the rule is not finite")
-            scale = np.maximum(scale, np.abs(vals).max(axis=(1, 2))[:, None])
-            # interpolate at the points as rounded, located as __call__ locates them
-            s = _local(x, lo[:, None], hi[:, None])
-            V = np.polynomial.chebyshev.chebvander(s[:, :n], _TABLE_DEGREE)
-            c = np.linalg.solve(V, np.moveaxis(vals[..., :n], 0, -1)).transpose(1, 0, 2)
-            err = np.abs(_clenshaw(c, s[:, n:], np.arange(len(lo))[:, None]) - vals[..., n:])
-            ok = np.all(err.max(axis=2) <= _TABLE_TOL * scale, axis=0)
-            done.append((lo[ok], hi[ok], c[:, ok]))
+                _refuse(side, lo[~finite], hi[~finite], "f or 1/a is not finite")
+            G = np.polynomial.chebyshev.chebint(T @ fx, lbnd=-1) * ((hi - lo) / 2)
+            Gx = V @ G
+            Gmax = np.maximum(np.abs(Gx).max(axis=0), np.abs(G.sum(axis=0)))
+            q, r = T @ (Gx * rx), T @ rx
+            F_scale = max(F_scale, abs(F0) + G_done + Gmax.sum())
+            r_scale = max(r_scale, np.abs(rx).max())
+            ok = ((np.abs(G[-2:]).max(axis=0) <= _TABLE_TOL * F_scale)
+                  & (np.abs(r[-2:]).max(axis=0) <= _TABLE_TOL * r_scale)
+                  & (np.abs(q[-2:]).max(axis=0) <= _TABLE_TOL * F_scale * r_scale))
+            done.append((lo[ok], hi[ok], r[:, ok], G[:, ok], q[:, ok]))
+            G_done += Gmax[ok].sum()
             kept += np.count_nonzero(ok)
             lo, hi = lo[~ok], hi[~ok]
             if not len(lo):
                 break
-            why = f"the table misses the rule by more than {_TABLE_TOL:g} of its max |u| or |u'|"
+            why = f"the last Chebyshev coefficients of G, 1/a or G/a exceed {_TABLE_TOL:g} of the side's scale"
             if depth == _TABLE_DEPTH:
                 _refuse(side, lo, hi, f"{why} after {_TABLE_DEPTH} halvings")
             if kept + 2 * len(lo) > _TABLE_CELLS:
                 _refuse(side, lo, hi, f"{why} with {_TABLE_CELLS} cells")
             mid = (lo + hi) / 2
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        lo, hi, c = zip(*done)
-        lo, hi, c = np.concatenate(lo), np.concatenate(hi), np.concatenate(c, axis=1)
+        lo, hi, r, G, q = (np.concatenate(v, axis=-1) for v in zip(*done))
         order = np.argsort(lo)
-        self.edges, self.coef = np.append(lo[order], hi[order[-1]]), c[:, order]
+        self.edges = np.append(lo[order], hi[order[-1]])
+        self.r, self.q, G = r[:, order], q[:, order], G[:, order]
+        self.half = np.diff(self.edges) / 2
+        # F~ at each cell's left edge and at the side's right end
+        F = F0 + np.concatenate([[0.0], np.cumsum(G.sum(axis=0))])
+        self.Fl, self.F = F[:-1], F[-1]
+        # int_-1^1 T_j = 2 / (1 - j^2) for even j, 0 for odd j
+        w = np.zeros(n)
+        w[::2] = 2 / (1 - np.arange(0, n, 2) ** 2)
+        self.P = self.half @ (w @ self.r)
+        self.Q = self.half @ (self.Fl * (w @ self.r) + w @ self.q)
+
+    def tabulate(self, C, end):
+        """Set the table's u' = (C - F~(l)) / a - G/a per cell and u, its
+        integral, cumulated so that u vanishes at the edge `end`."""
+        du = (C - self.Fl) * self.r - self.q
+        u = np.polynomial.chebyshev.chebint(du, lbnd=-1) * self.half
+        U = np.concatenate([[0.0], np.cumsum(u.sum(axis=0))])
+        u[0] += (U - U[end])[:-1]
+        self.coef = np.stack([u, np.pad(du, ((0, 1), (0, 0)))], axis=-1)
 
     def __call__(self, x):
         """(u, u') at x from the table; a point outside the side extrapolates
@@ -260,11 +243,11 @@ def _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma) -> ExactS
     u is cumulated from 0 on the left side and from 1 on the right, so it
     meets both boundary conditions and neither side carries the other's
     magnitude; C makes u continuous at gamma."""
-    left = _FluxSide(a_minus, f_minus, 0.0, gamma, 0.0)
-    right = _FluxSide(a_plus, f_plus, gamma, 1.0, left.F[-1] - g_gamma)
+    left = _FluxSide(a_minus, f_minus, 0.0, gamma, 0.0, "left (0 < x < gamma)")
+    right = _FluxSide(a_plus, f_plus, gamma, 1.0, left.F - g_gamma, "right (gamma < x < 1)")
     C = (left.Q + right.Q) / (left.P + right.P)
-    left.tabulate(C, "left (0 < x < gamma)", 0)
-    right.tabulate(C, "right (gamma < x < 1)", -1)
+    left.tabulate(C, 0)
+    right.tabulate(C, -1)
     return _FluxSolution(lambda x: left(x)[0], lambda x: right(x)[0],
                          lambda x: left(x)[1], lambda x: right(x)[1], left, right)
 
@@ -287,36 +270,40 @@ class _FluxSolution(ExactSolution):
         return out[0], out[1]
 
 
+def _pair(spec, name, what, constants):
+    """The (minus, plus) expressions of a field given on both sides, or None
+    when it is given on neither; ExpressionError when on one only."""
+    texts = spec.get(f"{name}_minus"), spec.get(f"{name}_plus")
+    if texts == (None, None):
+        return None
+    if None in texts:
+        raise ExpressionError(f"{what} requires both {name}_minus and {name}_plus")
+    return tuple(parse_expression(str(t), constants) for t in texts)
+
+
 def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
     """Build an InterfaceProblem from an expression-level description.
 
-    Required keys: gamma, a_minus, a_plus, g_gamma.  Either both sources
-    (f_minus, f_plus) or both exact solutions (u_minus, u_plus) must be
-    present.  Missing sources are manufactured from the exact solution,
-    and a missing exact solution is built by quadrature of the flux.
+    Required keys: gamma, a_minus, a_plus, g_gamma.  The sources
+    (f_minus, f_plus) and the exact solutions (u_minus, u_plus) are each
+    given as a pair or not at all, and at least one pair is given.  Missing
+    sources are manufactured from the exact solution, and a missing exact
+    solution is built by quadrature of the flux.
     """
     constants = dict(spec.get("constants", {}))
     gamma = _const_value(spec["gamma"], constants)
     g_gamma = _const_value(spec["g_gamma"], constants)
     a_minus = parse_expression(str(spec["a_minus"]), constants)
     a_plus = parse_expression(str(spec["a_plus"]), constants)
+    u = _pair(spec, "u", "exact solution", constants)
+    f = _pair(spec, "f", "source term", constants)
 
-    exact = None
-    if spec.get("u_minus") is not None or spec.get("u_plus") is not None:
-        if spec.get("u_minus") is None or spec.get("u_plus") is None:
-            raise ExpressionError("exact solution requires both u_minus and u_plus")
-        u_minus = parse_expression(str(spec["u_minus"]), constants)
-        u_plus = parse_expression(str(spec["u_plus"]), constants)
-        exact = ExactSolution(u_minus, u_plus, u_minus.diff(), u_plus.diff())
-
-    if spec.get("f_minus") is not None and spec.get("f_plus") is not None:
-        f_minus = parse_expression(str(spec["f_minus"]), constants)
-        f_plus = parse_expression(str(spec["f_plus"]), constants)
-    elif exact is not None:
-        f_minus = _manufactured_source(a_minus, exact.u_minus)
-        f_plus = _manufactured_source(a_plus, exact.u_plus)
-    else:
-        raise ExpressionError("spec needs sources f_minus/f_plus or an exact solution")
+    exact = None if u is None else ExactSolution(u[0], u[1], u[0].diff(), u[1].diff())
+    if f is None:
+        if exact is None:
+            raise ExpressionError("spec needs sources f_minus/f_plus or an exact solution")
+        f = _manufactured_source(a_minus, u[0]), _manufactured_source(a_plus, u[1])
+    f_minus, f_plus = f
     if exact is None:
         exact = _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma)
 

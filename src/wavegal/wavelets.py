@@ -59,14 +59,14 @@ class SystemVerificationError(ValueError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Named residuals from the system verification battery."""
+    """Named residuals from the system verification battery; a check
+    passes when its residual is at most VERIFICATION_TOL."""
 
     checks: dict  # name -> residual
-    tol: float = VERIFICATION_TOL
 
     @property
     def all_passed(self) -> bool:
-        return all(r <= self.tol for r in self.checks.values())
+        return all(r <= VERIFICATION_TOL for r in self.checks.values())
 
     def worst(self) -> tuple[str, float]:
         name = max(self.checks, key=self.checks.get)
@@ -75,12 +75,12 @@ class VerificationReport:
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         merged = dict(self.checks)
         merged.update(other.checks)
-        return VerificationReport(merged, self.tol)
+        return VerificationReport(merged)
 
     def __str__(self) -> str:
         lines = []
         for name, res in self.checks.items():
-            lines.append(f"{'PASS' if res <= self.tol else 'FAIL'}  {name}: {res:.3e}")
+            lines.append(f"{'PASS' if res <= VERIFICATION_TOL else 'FAIL'}  {name}: {res:.3e}")
         return "\n".join(lines)
 
 
@@ -318,7 +318,7 @@ def _level_sets(sys: WaveletSystem, j: int, dual: bool):
     return phi_set, psi_set
 
 
-def verify_biorthogonality(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -> VerificationReport:
+def verify_biorthogonality(sys: WaveletSystem) -> VerificationReport:
     """Check the delta relations between primal and dual families.
 
     Two layers: shift-biorthogonality of the interior functions on the
@@ -352,12 +352,10 @@ def verify_biorthogonality(sys: WaveletSystem, tol: float = VERIFICATION_TOL) ->
             v = inner_product(p, q)
             want = 1 if i == jj else 0
             res_j0 = max(res_j0, abs(float(v - want)))
-    return VerificationReport(
-        {"biorthogonality-interior": res_int, "biorthogonality-level-J0": res_j0}, tol
-    )
+    return VerificationReport({"biorthogonality-interior": res_int, "biorthogonality-level-J0": res_j0})
 
 
-def verify_boundary_moments(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -> VerificationReport:
+def verify_boundary_moments(sys: WaveletSystem) -> VerificationReport:
     """Vanishing moments 1..m-1 of boundary dual wavelets (about 0 / 1).
 
     Moment 0 of the boundary dual wavelets is reported for information
@@ -372,7 +370,7 @@ def verify_boundary_moments(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -
         for d in range(1, sys.m):
             res = max(res, abs(float(f.moment(d, 1))))
     checks["moments-boundary"] = res
-    return VerificationReport(checks, tol)
+    return VerificationReport(checks)
 
 
 def _interior_moment_residual(sys: WaveletSystem) -> float:
@@ -427,10 +425,10 @@ def _disjointness_residual(sys: WaveletSystem) -> float:
     return worst
 
 
-def full_verification(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -> VerificationReport:
+def full_verification(sys: WaveletSystem) -> VerificationReport:
     """Run the complete battery required for accepting a system."""
-    report = verify_biorthogonality(sys, tol)
-    report = report.merge(verify_boundary_moments(sys, tol))
+    report = verify_biorthogonality(sys)
+    report = report.merge(verify_boundary_moments(sys))
     extra = {
         "moments-interior": _interior_moment_residual(sys),
         "h1-membership": _continuity_residual(sys),
@@ -442,7 +440,7 @@ def full_verification(sys: WaveletSystem, tol: float = VERIFICATION_TOL) -> Veri
         extra["dual-antiderivative-ladder"] = 0.0
     except SystemVerificationError as e:
         extra["dual-antiderivative-ladder"] = e.residual
-    return report.merge(VerificationReport(extra, tol))
+    return report.merge(VerificationReport(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +551,7 @@ def save_system(sys: WaveletSystem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_system(path, tol: float = VERIFICATION_TOL) -> WaveletSystem:
+def load_system(path) -> WaveletSystem:
     """Parse a system definition file and accept it iff verification passes."""
     with open(path) as fh:
         raw = fh.read()
@@ -650,7 +648,7 @@ def load_system(path, tol: float = VERIFICATION_TOL) -> WaveletSystem:
     except ValueError as e:
         raise SystemFormatError(str(e)) from e
 
-    report = full_verification(sys, tol)
+    report = full_verification(sys)
     if not report.all_passed:
         name, res = report.worst()
         raise SystemVerificationError(name, float(res))

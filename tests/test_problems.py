@@ -313,6 +313,23 @@ class TestProblemFromSpec:
                 }
             )
 
+    @pytest.mark.parametrize("source", ["f_minus", "f_plus"])
+    def test_partial_sources_rejected(self, source):
+        # beside an exact solution, a lone source is not dropped for the
+        # manufactured pair
+        with pytest.raises(ExpressionError, match="both f_minus and f_plus"):
+            problem_from_spec(
+                {
+                    "gamma": "0.5",
+                    "a_minus": "1",
+                    "a_plus": "1",
+                    "g_gamma": "0",
+                    "u_minus": "x*(1-x)",
+                    "u_plus": "x*(1-x)",
+                    source: "100",
+                }
+            )
+
     def test_gamma_must_be_constant(self):
         with pytest.raises(ExpressionError, match="must not depend on x"):
             problem_from_spec(
@@ -368,14 +385,45 @@ def assert_sides_match(p, u, du, rtol):
             assert np.abs(got(x) - ref).max() <= rtol * np.abs(ref).max()
 
 
-def assert_table_matches_rule(side, lo, hi):
-    """A side's flux table against the nested rule it was fitted to, stepped
-    from each table cell's left edge, at 1001 points of [lo, hi], to 1e-14
-    of the side's largest |u| and |u'|."""
-    x = np.linspace(lo, hi, 1001)
-    cell = np.clip(np.searchsorted(side.edges, x, side="right") - 1, 0, len(side.edges) - 2)
-    rule, table = side.rule(x, side.edges[cell]), side(x)
-    assert np.all(np.abs(table - rule).max(axis=1) <= 1e-14 * np.abs(rule).max(axis=1))
+def flux_closed_form(left, right, gamma=math.pi / 6):
+    """u and u' per side of a problem whose flux is a u' = C - F~, from each
+    side's (a, F~, P, Q): P = int 1/a and Q = int F~/a, from 0 to x on the
+    left and from x to 1 on the right, so that u = C P - Q on the left and
+    u = Q - C P on the right.  C makes u continuous at gamma."""
+    (al, Fl, Pl, Ql), (ar, Fr, Pr, Qr) = left, right
+    C = (Ql(gamma) + Qr(gamma)) / (Pl(gamma) + Pr(gamma))
+    u = (lambda x: C * Pl(x) - Ql(x), lambda x: Qr(x) - C * Pr(x))
+    du = (lambda x: (C - Fl(x)) / al(x), lambda x: (C - Fr(x)) / ar(x))
+    return u, du
+
+
+def ex3_variant(kind=None, value=None):
+    """ex3's u and u' per side with a- = value + x, f- = x^value or
+    f+ = sin(value x) in place of 1, as `kind` says: integrated by hand,
+    each side as in `flux_closed_form`, the right as in `ex3_closed_form`."""
+    G, e1 = math.pi / 6, math.exp(-1.0)
+    a, F, P, Q = (lambda x: 1.0), (lambda x: x), (lambda x: x), (lambda x: x * x / 2)
+    if kind == "a_minus":  # 1 / (eps + x)
+        a, P = (lambda x: value + x), (lambda x: np.log1p(x / value))
+        Q = lambda x: x - value * np.log1p(x / value)
+    elif kind == "f_minus":  # x^p
+        F, Q = (lambda x: x ** (value + 1) / (value + 1)), (lambda x: x ** (value + 2) / ((value + 1) * (value + 2)))
+    F0 = F(G)
+    # right of gamma, a = 1000 e^x and F~ = F0 + H with H(gamma) = 0
+    H = lambda x: x - G
+    EH = lambda x: (x + 1 - G) * np.exp(-x) - (2 - G) * e1  # int_x^1 H e^-t
+    if kind == "f_plus":  # sin(k x)
+        k = value
+        H = lambda x: (math.cos(k * G) - np.cos(k * x)) / k
+        E = lambda t: np.exp(-t) * (k * np.sin(k * t) - np.cos(k * t)) / (1 + k * k)  # of cos(k t) e^-t
+        EH = lambda x: (math.cos(k * G) * (np.exp(-x) - e1) - (E(1.0) - E(x))) / k
+    right = (
+        lambda x: 1000 * np.exp(x),
+        lambda x: F0 + H(x),
+        lambda x: (np.exp(-x) - e1) / 1000,
+        lambda x: (F0 * (np.exp(-x) - e1) + EH(x)) / 1000,
+    )
+    return flux_closed_form((a, F, P, Q), right)
 
 
 class TestFluxQuadrature:
@@ -411,21 +459,37 @@ class TestFluxQuadrature:
             assert u.shape == du.shape == ()
             assert (u, du) == tuple(v[0] for v in e.values(math.pi / 6, np.array([x])))
 
-    @pytest.mark.parametrize("override", [{"f_minus": "sqrt(x)"}, {"a_minus": "0.001 + x"}])
-    def test_cells_halved_where_the_rule_is_hard(self, override):
-        # the rule's 32 cells miss 1e-14 near x = 0: a source with a
-        # singular derivative there, a coefficient with a pole just past it
-        p = problem_from_spec(dict(BUILTIN_PROBLEMS["ex3"], **override))
-        left, right = p.exact.left, p.exact.right
-        assert len(left.edges) - 1 > len(left.x) - 1 == 32
-        assert left.edges[1] < 1e-3 * p.gamma  # halved towards 0
-        assert len(right.edges) == len(right.x)  # the right side is untouched
-        assert_table_matches_rule(left, 0.0, p.gamma)
-        assert_table_matches_rule(right, p.gamma, 1.0)
+    @pytest.mark.parametrize("kind, text, value, rtol", [
+        (None, None, None, 1e-13),
+        ("a_minus", "0.001 + x", 1e-3, 1e-13),
+        ("a_minus", "0.000001 + x", 1e-6, 1e-13),
+        ("f_minus", "sqrt(x)", 1 / 2, 1e-13),
+        ("f_minus", "x^(1/3)", 1 / 3, 1e-13),
+        ("f_plus", "sin(2000*x)", 2000.0, 1e-12),
+    ], ids=["ex3", "a-=0.001+x", "a-=1e-6+x", "f-=sqrt(x)", "f-=x^(1/3)", "f+=sin(2000x)"])
+    def test_matches_hand_integrated_closed_forms(self, kind, text, value, rtol):
+        # a coefficient with a pole just left of 0, sources with a singular
+        # derivative at 0, a source with about 150 periods on the right side
+        u, du = ex3_variant(kind, value)
+        p = problem_from_spec(dict(BUILTIN_PROBLEMS["ex3"], **({kind: text} if kind else {})))
+        assert_sides_match(p, u, du, rtol)
+        # no table edge jumps: each inner edge read from the cell to its left
+        # (one ulp before it) and from the cell to its right
+        for i, side in enumerate((p.exact.left, p.exact.right)):
+            x = np.linspace(*((0.0, p.gamma), (p.gamma, 1.0))[i], 1001)
+            scale = np.abs([u[i](x), du[i](x)]).max(axis=1)
+            edges = side.edges[1:-1]
+            jump = np.abs(side(np.nextafter(edges, -np.inf)) - side(edges)).max(axis=1)
+            assert np.all(jump <= 1e-14 * scale)
+
+    def test_source_not_finite_is_refused(self):
+        # exp(2000 x) overflows from x = 0.355 on, inside the left side
+        spec = dict(BUILTIN_PROBLEMS["ex3"], gamma="0.5", f_minus="exp(2000*x)")
+        with pytest.raises(ExpressionError, match=r"left \(0 < x < gamma\) side: f or 1/a is not finite on \[0.34375, "):
+            problem_from_spec(spec)
 
     def test_fast_oscillating_source(self):
-        # steps from the rule's mesh nodes carry rounding that halving a table
-        # cell does not shrink; steps from the cell's own left edge do
+        # 16 periods on each side
         p = problem_from_spec({"gamma": "0.5", "a_minus": "1", "a_plus": "1", "g_gamma": "0",
                                "f_minus": "sin(200*x)", "f_plus": "sin(200*x)"})
         u = lambda x: (np.sin(200 * x) - x * math.sin(200)) / 200**2
@@ -452,8 +516,6 @@ class TestFluxQuadrature:
         assert abs(e.u_minus(gamma) - e.u_plus(gamma)) <= 1e-12 * scale
         jump = p.a_plus(gamma) * e.du_plus(gamma) - p.a_minus(gamma) * e.du_minus(gamma)
         assert jump == pytest.approx(g, abs=1e-12 * max(1.0, abs(g)))
-        assert_table_matches_rule(e.left, 0.0, gamma)
-        assert_table_matches_rule(e.right, gamma, 1.0)
         # -(a u')' = f by central differences inside each side
         for lo, hi, a, du in ((0.0, gamma, p.a_minus, e.du_minus), (gamma, 1.0, p.a_plus, e.du_plus)):
             x, h = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo), 1e-4 * (hi - lo)
