@@ -31,7 +31,7 @@ one searchsorted and one Clenshaw pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,10 +304,7 @@ def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
             raise ExpressionError("spec needs sources f_minus/f_plus or an exact solution")
         f = _manufactured_source(a_minus, u[0]), _manufactured_source(a_plus, u[1])
     f_minus, f_plus = f
-    if exact is None:
-        exact = _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma)
-
-    return InterfaceProblem(
+    problem = InterfaceProblem(
         gamma=gamma,
         a_minus=a_minus,
         a_plus=a_plus,
@@ -317,6 +314,10 @@ def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
         exact=exact,
         name=name,
     )
+    if exact is None:  # tabulated only once the problem has checked a > 0: the table divides by a
+        exact = _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma)
+        problem = replace(problem, exact=exact)
+    return problem
 
 
 def builtin_problem(pid: str, **overrides) -> InterfaceProblem:

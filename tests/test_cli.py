@@ -2,6 +2,7 @@
 
 import math
 import textwrap
+import warnings
 
 import pytest
 
@@ -161,6 +162,27 @@ class TestExitCodes:
             """,
         )
         assert main(["--config", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("a_minus", ["-1", "0"])
+    def test_nonpositive_coefficient_is_config_error(self, tmp_path, capsys, a_minus):
+        path = write_config(
+            tmp_path,
+            f"""
+            [experiment]
+            jmax = 3
+            [problem]
+            gamma = 0.5
+            a_minus = {a_minus}
+            a_plus = 1
+            f_minus = 1
+            f_plus = 1
+            g_gamma = 0
+            """,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", path]) == EXIT_CONFIG
+        assert "diffusion coefficient not positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("f_minus, why", [
         # a sqrt-like singularity off 0 needs far more halvings than the depth

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,10 @@ from wavegal.galerkin import (
     LinearSystem,
     SolverError,
     _cell_values,
+    _factor_solve,
     _graded_mesh,
     _piecewise_call,
+    _spd_factor,
     _stiffness_product,
     _structural_zeros,
     _synthesis,
@@ -199,6 +202,18 @@ def assert_matches_reference(basis, problem, A_ref, b_ref):
     assert np.all(A[(lo[:, None] >= hi) | (lo >= hi[:, None])] == 0.0)
 
 
+# interface data: any gamma, or one within 1e-15 of a dyadic point, and
+# the coefficient contrast a+ / a- of a problem with a- = 1
+GAMMAS = st.one_of(
+    st.floats(1e-3, 1 - 1e-3),
+    st.tuples(
+        st.integers(1, 8).flatmap(lambda e: st.integers(1, 2**e - 1).map(lambda k: k / 2**e)),
+        st.floats(-1e-15, 1e-15),
+    ).map(sum),
+)
+CONTRASTS = st.floats(1e-3, 1e6)
+
+
 class TestAgainstPairwiseQuadrature:
     """Assembly against two references: exact rational integrals where a
     and f are polynomial on each side of gamma, and the long-double point
@@ -212,17 +227,7 @@ class TestAgainstPairwiseQuadrature:
         assert_matches_reference(basis, p, A_ref.toarray(), b_ref)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        gamma=st.one_of(
-            st.floats(1e-3, 1 - 1e-3),
-            st.tuples(
-                st.integers(1, 8).flatmap(lambda e: st.integers(1, 2**e - 1).map(lambda k: k / 2**e)),
-                st.floats(-1e-15, 1e-15),
-            ).map(sum),
-        ),
-        contrast=st.floats(1e-3, 1e6),
-        g=st.floats(-10.0, 10.0),
-    )
+    @given(gamma=GAMMAS, contrast=CONTRASTS, g=st.floats(-10.0, 10.0))
     # gamma one ulp right and left of a breakpoint, at both contrast ends
     @example(gamma=0.5 + 2.0**-53, contrast=1e-3, g=0.0)
     @example(gamma=0.5 + 2.0**-53, contrast=1e6, g=1.0)
@@ -598,6 +603,82 @@ class TestConditionNumber:
         assert system.factor is not None
         assert condition_number(system.A, system.factor) == pytest.approx(
             condition_number(system.A), rel=1e-12)
+
+
+@pytest.fixture(scope="module", params=[(pid, mode) for pid in ("ex1", "ex2", "ex3")
+                                        for mode in ("enriched", "fem")], ids="-".join)
+def sweep_top(request, sys2):
+    """The J=12 system a CLI sweep to jmax=12 assembles."""
+    pid, mode = request.param
+    p = builtin_problem(pid)
+    basis = enriched_basis(sys2, 2, 12, p.gamma) if mode == "enriched" else truncated_basis(sys2, 2, 12)
+    return assemble(basis, p)
+
+
+def assert_factor_fills_nothing(A):
+    assert _spd_factor(A).L.nnz == scipy.sparse.tril(A).nnz
+
+
+def stored(M):
+    """The (row, column) pairs M stores."""
+    M = M.tocoo()
+    return set(zip(M.row.tolist(), M.col.tolist()))
+
+
+class TestSparseFactor:
+    """The SPD factor eliminates the finest level first, in one fixed order,
+    and so stores exactly A's lower triangle."""
+
+    def test_no_fill_at_every_level(self, sweep_top):
+        for J in range(5, 13):
+            assert_factor_fills_nothing(subsystem(sweep_top, J).A)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma=GAMMAS, contrast=CONTRASTS)
+    @example(gamma=0.5 + 2.0**-53, contrast=1e6)
+    @example(gamma=0.25 - 2.0**-55, contrast=1e-3)
+    @example(gamma=0.3, contrast=1.0)
+    def test_fill_stays_among_functions_sharing_a_cell(self, sys2, gamma, contrast):
+        # finest-first elimination fills nothing on the graph of all pairs
+        # of functions sharing a cell.  A stores a subset of it: here a is a
+        # plain callable, so A leaves out exactly the pairs whose entry sums
+        # to 0.0, a roundoff-dependent choice, and its factor may fill some
+        # of them back in, but never a pair outside that graph
+        top = assemble(enriched_basis(sys2, 2, 8, gamma), plain_problem(gamma, ap=contrast, f=1.0))
+        cells = top.form.C.copy()
+        cells.data[:] = 1.0
+        for J in range(3, 9):
+            rows, _ = top.basis.level(J)
+            sharing = (cells[:, rows].T @ cells[:, rows] + scipy.sparse.identity(len(rows))).tocsr()
+            pattern = _spd_factor(sharing).L
+            assert pattern.nnz == scipy.sparse.tril(sharing).nnz
+            assert stored(_spd_factor(subsystem(top, J).A).L) <= stored(pattern)
+
+    def test_solves_in_the_original_order(self):
+        # the factor is of A reversed, so a solve that forgot to reverse b
+        # or c would solve another system: this A is not its own reversal
+        A = scipy.sparse.diags([[1.0, 2.0, 3.0, 4.0], [-0.5, -0.5, -0.5]], [0, 1])
+        A = (A + A.T).tocsr()
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        c = _factor_solve(_spd_factor(A), b)
+        assert np.allclose(A @ c, b, rtol=0, atol=1e-14)
+
+    def test_indefinite_refused(self):
+        A = scipy.sparse.csr_matrix(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+        with pytest.raises(SolverError, match="not symmetric positive definite"):
+            _spd_factor(A)
+
+
+class TestKappaAccuracy:
+    def test_within_1e_6_of_exact_eigensolves(self, sweep_top):
+        # eigsh at tol=0 converges to machine precision; shift-invert there
+        # factors with SuperLU's own ordering, not `_spd_factor`
+        for J in range(5, 11):
+            A = subsystem(sweep_top, J).A
+            lmax = scipy.sparse.linalg.eigsh(A, k=1, which="LA", tol=0, return_eigenvectors=False)[0]
+            lmin = scipy.sparse.linalg.eigsh(A, k=1, sigma=0.0, which="LM", tol=0,
+                                             return_eigenvectors=False)[0]
+            assert abs(condition_number(A) / (lmax / lmin) - 1.0) <= 1e-6, J
 
 
 def mesh_derivative(f, x):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ class TestProblemFromSpec:
                     source: "100",
                 }
             )
+
+    @pytest.mark.parametrize("a_minus", ["-1", "0"])
+    def test_nonpositive_coefficient_refused_before_the_flux_table(self, a_minus):
+        # the flux table divides by a, so it is built only once a > 0 holds
+        spec = {"gamma": "0.5", "a_minus": a_minus, "a_plus": "1", "g_gamma": "0",
+                "f_minus": "1", "f_plus": "1"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="diffusion coefficient not positive"):
+                problem_from_spec(spec)
 
     def test_gamma_must_be_constant(self):
         with pytest.raises(ExpressionError, match="must not depend on x"):
