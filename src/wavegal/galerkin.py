@@ -476,7 +476,7 @@ def condition_number(A, factor=None) -> float:
     if n <= 3:
         w = np.linalg.eigvalsh(np.asarray(A.todense() if scipy.sparse.issparse(A) else A))
         return float(w[-1] / w[0])
-    As = scipy.sparse.csc_matrix(A)
+    As = scipy.sparse.csr_matrix(A)
     v0 = np.ones(n) / np.sqrt(n)
     top = v0.copy()
     top[np.argmax(As.diagonal())] += 1.0

@@ -21,7 +21,6 @@ from wavegal.galerkin import (
     LinearSystem,
     SolverError,
     _cell_values,
-    _factor_solve,
     _graded_mesh,
     _piecewise_call,
     _spd_factor,
@@ -626,8 +625,8 @@ def stored(M):
 
 
 class TestSparseFactor:
-    """The SPD factor eliminates the finest level first, in one fixed order,
-    and so stores exactly A's lower triangle."""
+    """The SPD factor eliminates the finest level first, with no ordering
+    step."""
 
     def test_no_fill_at_every_level(self, sweep_top):
         for J in range(5, 13):
@@ -653,20 +652,6 @@ class TestSparseFactor:
             pattern = _spd_factor(sharing).L
             assert pattern.nnz == scipy.sparse.tril(sharing).nnz
             assert stored(_spd_factor(subsystem(top, J).A).L) <= stored(pattern)
-
-    def test_solves_in_the_original_order(self):
-        # the factor is of A reversed, so a solve that forgot to reverse b
-        # or c would solve another system: this A is not its own reversal
-        A = scipy.sparse.diags([[1.0, 2.0, 3.0, 4.0], [-0.5, -0.5, -0.5]], [0, 1])
-        A = (A + A.T).tocsr()
-        b = np.array([1.0, -2.0, 0.5, 3.0])
-        c = _factor_solve(_spd_factor(A), b)
-        assert np.allclose(A @ c, b, rtol=0, atol=1e-14)
-
-    def test_indefinite_refused(self):
-        A = scipy.sparse.csr_matrix(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
-        with pytest.raises(SolverError, match="not symmetric positive definite"):
-            _spd_factor(A)
 
 
 class TestKappaAccuracy:
