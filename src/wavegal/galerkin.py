@@ -61,9 +61,10 @@ scaling of its rows) and keeps the factor on the system, and
 There is no ordering step.  Every basis runs from its coarsest level to
 its finest, so the factor takes A with its rows and columns reversed, in
 that order, and eliminates the finest level first.  On the graph of the
-pairs of functions that share a cell, this order fills nothing.  A
-stores a subset of that graph, so the factor stays inside it; on the
-built-in problems L holds exactly the entries of A's lower triangle.
+pairs of functions that share a cell, this order has filled nothing in
+every case tested.  A stores a subset of that graph, so the factor
+stays inside it; on the built-in problems L holds exactly the entries
+of A's lower triangle.
 """
 
 from __future__ import annotations

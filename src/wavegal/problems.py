@@ -314,7 +314,7 @@ def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
         exact=exact,
         name=name,
     )
-    if exact is None:  # tabulated only once the problem has checked a > 0: the table divides by a
+    if exact is None:  # the table divides by a, so it is built once a > 0 is checked
         exact = _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma)
         problem = replace(problem, exact=exact)
     return problem

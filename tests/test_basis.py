@@ -333,14 +333,12 @@ class TestNestedLevels:
 
     @pytest.mark.parametrize("gamma", [GAMMA, math.sqrt(2) / 2, 0.5, 0.5 + 2.0**-53, 0.25 - 2.0**-55])
     def test_levels_ascend(self, sys2, gamma):
-        # galerkin's SPD factor eliminates in reverse index order, finest
-        # level first, which fills nothing only while j never decreases
+        # galerkin's SPD factor eliminates in reverse index order, and so
+        # finest level first only while j never decreases
         for top in (enriched_basis(sys2, 2, 12, gamma), truncated_basis(sys2, 2, 12)):
             assert np.all(np.diff(top.j) >= 0)
             for J in range(2, 13):
                 assert np.all(np.diff(top.level(J)[1].j) >= 0)
-        for J in range(2, 9):
-            assert np.all(np.diff(enriched_basis(sys2, 2, J, gamma).j) >= 0)
 
     def test_levels_outside_rejected(self, sys2):
         top = enriched_basis(sys2, 2, 5, GAMMA)
