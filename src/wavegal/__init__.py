@@ -17,8 +17,6 @@ from .wavelets import (
     full_verification,
     load_system,
     save_system,
-    verify_biorthogonality,
-    verify_boundary_moments,
 )
 from .basis import (
     BasisFunction,

@@ -347,7 +347,7 @@ def tail_energy(u, sys: WaveletSystem, gamma: float, J: int, j_max: int | None =
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
     if J < sys.J0:
         raise ValueError(f"level J={J} below coarsest admissible level J0={sys.J0}")
-    top_enriched = (2 * sys.m - 2) * J - 1
+    top_enriched = sys.enrichment_depth(J)
     j_max = top_enriched + 7 if j_max is None else j_max
     if j_max < J + 1:
         raise ValueError(f"j_max={j_max} leaves no level past J={J}")

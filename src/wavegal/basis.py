@@ -142,7 +142,7 @@ class EnrichedBasis:
             raise ValueError(f"level {J} outside this basis's levels {self.J0}..{self.J}")
         keep = self.j <= J
         if self.gamma is not None:
-            keep |= self._touching & (self.j <= (2 * self.sys.m - 2) * J - 1)
+            keep |= self._touching & (self.j <= self.sys.enrichment_depth(J))
         rows = np.flatnonzero(keep)
         return rows, EnrichedBasis(
             self.sys, *(a[rows] for a in (self.family, self.component, self.j, self.k)),
@@ -233,4 +233,4 @@ def enriched_basis(sys: WaveletSystem, J0: int, J: int, gamma: float) -> Enriche
     """The truncated basis plus interface sets for levels J+1..(2m-2)J-1."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
-    return _assemble(sys, J0, J, gamma, (2 * sys.m - 2) * J - 1)
+    return _assemble(sys, J0, J, gamma, sys.enrichment_depth(J))

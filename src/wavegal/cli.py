@@ -42,7 +42,6 @@ from .wavelets import (
     SystemFormatError,
     SystemVerificationError,
     builtin_order2_system,
-    full_verification,
     load_system,
 )
 
@@ -146,7 +145,7 @@ def run(cfg: ExperimentConfig, log=None) -> list:
     levels = list(range(jmin, cfg.jmax + 1))
     if not levels:
         raise ConfigError("empty level range")
-    top = (2 * sysdef.m - 2) * cfg.jmax - 1  # deepest enrichment level; <= 2 MAX_LEVEL - 1 for m=2
+    top = sysdef.enrichment_depth(cfg.jmax)  # <= 2 MAX_LEVEL - 1 for m=2
     if cfg.mode == "enriched" and top > 2 * MAX_LEVEL - 1:
         raise ConfigError(f"jmax={cfg.jmax} needs enrichment level {top} for m={sysdef.m}, "
                           f"past the desk-scale guard {2 * MAX_LEVEL - 1}")
@@ -218,10 +217,8 @@ def main(argv=None) -> int:
                 setattr(cfg, name, val)
 
         if args.verify_only:
-            sysdef = _get_system(cfg.system)
-            report = full_verification(sysdef)
-            print(report)
-            return EXIT_OK if report.all_passed else EXIT_SYSTEM
+            print(_get_system(cfg.system).verification)
+            return EXIT_OK
 
         records = run(cfg, log=print)
         for r in records:
@@ -233,6 +230,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SystemFormatError, SystemVerificationError) as e:
+        if args.verify_only and isinstance(e, SystemVerificationError):
+            print(e.report)
         print(f"system verification error: {e}", file=sys.stderr)
         return EXIT_SYSTEM
     except SolverError as e:

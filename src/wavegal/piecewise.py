@@ -232,7 +232,7 @@ class PiecewisePolynomial:
         run = 0
         new = []
         for p, ci in zip(self.pieces, cell):
-            ints = [run] + [c / (n + 1) for n, c in enumerate(p)]
+            ints = [run] + [c / Fraction(n + 1) for n, c in enumerate(p)]  # an int c stays exact
             new.append(tuple(ints))
             run = run + ci
         compact = run == 0 if isinstance(run, (Fraction, int)) else abs(run) <= 1e-12

@@ -32,8 +32,6 @@ __all__ = [
     "builtin_order2_system",
     "load_system",
     "save_system",
-    "verify_biorthogonality",
-    "verify_boundary_moments",
     "full_verification",
     "dual_antiderivative_ladder",
 ]
@@ -49,12 +47,14 @@ class SystemFormatError(ValueError):
 
 
 class SystemVerificationError(ValueError):
-    """Raised when a wavelet system fails a verification check."""
+    """Raised when a wavelet system fails the verification battery; names
+    every failing check and keeps the whole report."""
 
-    def __init__(self, check: str, residual: float):
-        super().__init__(f"system verification failed: {check} (residual {residual:.3e})")
-        self.check = check
-        self.residual = residual
+    def __init__(self, report: "VerificationReport"):
+        failed = ", ".join(f"{name} (residual {res:.3e})" for name, res in report.checks.items()
+                           if res > VERIFICATION_TOL)
+        super().__init__(f"system verification failed: {failed}")
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ class VerificationReport:
     def worst(self) -> tuple[str, float]:
         name = max(self.checks, key=self.checks.get)
         return name, self.checks[name]
-
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        merged = dict(self.checks)
-        merged.update(other.checks)
-        return VerificationReport(merged)
 
     def __str__(self) -> str:
         lines = []
@@ -149,6 +144,16 @@ class WaveletSystem:
         breaks = np.array([np.pad(b, (0, nb - len(b)), constant_values=np.inf) for b, _ in caches])
         coeffs = np.array([np.pad(c, ((0, nb - 1 - len(c)), (0, w - c.shape[1]))) for _, c in caches])
         return np.cumsum([0] + [len(self.family(*f)) for f in FAMILIES])[:-1], breaks, coeffs
+
+    @cached_property
+    def verification(self) -> "VerificationReport":
+        """The verification battery's report, run once per system."""
+        return full_verification(self)
+
+    def enrichment_depth(self, J: int) -> int:
+        """The deepest level, (2m-2)J-1, whose interface set a level-J
+        enriched basis holds."""
+        return (2 * self.m - 2) * J - 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +288,13 @@ def builtin_order2_system() -> WaveletSystem:
         phi_right_dual=(phi_left_dual.reflect(1),),
         psi_right_dual=(psi_left_dual.reflect(1),),
     )
-    report = full_verification(sys)
-    if not report.all_passed:
-        name, res = report.worst()
-        raise SystemVerificationError(name, float(res))
+    return _accept(sys)
+
+
+def _accept(sys: WaveletSystem) -> WaveletSystem:
+    """The system itself if it passes the verification battery."""
+    if not sys.verification.all_passed:
+        raise SystemVerificationError(sys.verification)
     return sys
 
 
@@ -318,15 +326,9 @@ def _level_sets(sys: WaveletSystem, j: int, dual: bool):
     return phi_set, psi_set
 
 
-def verify_biorthogonality(sys: WaveletSystem) -> VerificationReport:
-    """Check the delta relations between primal and dual families.
-
-    Two layers: shift-biorthogonality of the interior functions on the
-    line, and the full cross-Gram of the coarsest-level sets
-    (scaling + wavelet, boundary functions included) on [0, 1], which
-    must be the identity under the primal/dual bijection.
-    """
-    res_int = 0.0
+def _interior_biorthogonality_residual(sys: WaveletSystem) -> float:
+    """Shift-biorthogonality of the interior functions on the line."""
+    res = 0.0
     pairs = [
         (sys.phi, sys.phi_dual, True),
         (sys.psi, sys.psi_dual, True),
@@ -339,38 +341,31 @@ def verify_biorthogonality(sys: WaveletSystem) -> VerificationReport:
                 for k in _overlap_shifts(p, q):
                     want = 1 if (diag and a == b and k == 0) else 0
                     v = inner_product(p, q.translate(k))
-                    res_int = max(res_int, abs(float(v - want)))
+                    res = max(res, abs(float(v - want)))
+    return res
 
-    j = sys.J0
-    prim_phi, prim_psi = _level_sets(sys, j, dual=False)
-    dual_phi, dual_psi = _level_sets(sys, j, dual=True)
-    prim = prim_phi + prim_psi
-    dual = dual_phi + dual_psi
-    res_j0 = 0.0
+
+def _level_biorthogonality_residual(prim: list, dual: list) -> float:
+    """The full cross-Gram of the coarsest-level sets (scaling + wavelet,
+    boundary functions included) on [0, 1], which must be the identity
+    under the primal/dual bijection."""
+    res = 0.0
     for i, p in enumerate(prim):
         for jj, q in enumerate(dual):
-            v = inner_product(p, q)
             want = 1 if i == jj else 0
-            res_j0 = max(res_j0, abs(float(v - want)))
-    return VerificationReport({"biorthogonality-interior": res_int, "biorthogonality-level-J0": res_j0})
+            res = max(res, abs(float(inner_product(p, q) - want)))
+    return res
 
 
-def verify_boundary_moments(sys: WaveletSystem) -> VerificationReport:
-    """Vanishing moments 1..m-1 of boundary dual wavelets (about 0 / 1).
-
-    Moment 0 of the boundary dual wavelets is reported for information
-    but is not required to vanish.
-    """
-    checks = {}
+def _boundary_moment_residual(sys: WaveletSystem) -> float:
+    """Vanishing moments 1..m-1 of boundary dual wavelets (about 0 / 1);
+    moment 0 is not required to vanish."""
     res = 0.0
-    for f in sys.psi_left_dual:
-        for d in range(1, sys.m):
-            res = max(res, abs(float(f.moment(d, 0))))
-    for f in sys.psi_right_dual:
-        for d in range(1, sys.m):
-            res = max(res, abs(float(f.moment(d, 1))))
-    checks["moments-boundary"] = res
-    return VerificationReport(checks)
+    for duals, center in ((sys.psi_left_dual, 0), (sys.psi_right_dual, 1)):
+        for f in duals:
+            for d in range(1, sys.m):
+                res = max(res, abs(float(f.moment(d, center))))
+    return res
 
 
 def _interior_moment_residual(sys: WaveletSystem) -> float:
@@ -384,15 +379,7 @@ def _interior_moment_residual(sys: WaveletSystem) -> float:
 def _continuity_residual(sys: WaveletSystem) -> float:
     """Primal functions must be continuous (H1) and vanish at support ends."""
     res = 0.0
-    prims = (
-        list(sys.phi)
-        + list(sys.psi)
-        + list(sys.phi_left)
-        + list(sys.psi_left)
-        + list(sys.phi_right)
-        + list(sys.psi_right)
-    )
-    for f in prims:
+    for f in (g for fam in FAMILIES for g in sys.family(*fam)):
         bps = f.breakpoints
         res = max(res, abs(float(f._local_coeffs(bps[0])[0])))
         for i in range(1, len(bps) - 1):
@@ -404,9 +391,9 @@ def _continuity_residual(sys: WaveletSystem) -> float:
     return res
 
 
-def _disjointness_residual(sys: WaveletSystem) -> float:
+def _disjointness_residual(sys: WaveletSystem, level_sets: list) -> float:
     """Left/right boundary supports at level J0 must not overlap, and all
-    level-J0 functions (primal and dual) must live inside [0, 1]."""
+    level-J0 functions (primal and dual, `level_sets`) must live inside [0, 1]."""
     j = sys.J0
     worst = 0.0
     lefts, rights = [], []
@@ -416,31 +403,44 @@ def _disjointness_residual(sys: WaveletSystem) -> float:
                 lefts.append(f.dyadic_transform(j, 0).support)
             for f in sys.family(kind, "right", dual):
                 rights.append(f.dyadic_transform(j, 2**j - 1).support)
-        phi_set, psi_set = _level_sets(sys, j, dual)
-        for f in phi_set + psi_set:
-            s = f.support
-            worst = max(worst, float(max(0 - s.lo, s.hi - 1, 0)))
+    for f in level_sets:
+        s = f.support
+        worst = max(worst, float(max(0 - s.lo, s.hi - 1, 0)))
     gap = min(float(rs.lo) for rs in rights) - max(float(ls.hi) for ls in lefts)
     worst = max(worst, max(0.0, -gap))
     return worst
 
 
+def _ladder_residual(sys: WaveletSystem) -> float:
+    """The largest violation over every step of every dual antiderivative
+    ladder: 1.0 for an interior step that is not compactly supported, and
+    a boundary step's absolute value at its endpoint from the second step on."""
+    ladders = dual_antiderivative_ladder(sys)
+    res = 0.0
+    for f, ladder in zip(sys.psi_dual, ladders["interior"]):
+        if not all(step.antiderivative_from_left()[1] for step in (f, *ladder[:-1])):
+            res = 1.0
+    for ladder in ladders["left"]:
+        for step in ladder[1:]:
+            res = max(res, abs(float(step._local_coeffs(step.breakpoints[0])[0])))
+    for ladder in ladders["right"]:
+        for step in ladder[1:]:
+            res = max(res, abs(step(float(step.breakpoints[-1]))))  # left limit at the right end
+    return res
+
+
 def full_verification(sys: WaveletSystem) -> VerificationReport:
     """Run the complete battery required for accepting a system."""
-    report = verify_biorthogonality(sys)
-    report = report.merge(verify_boundary_moments(sys))
-    extra = {
+    prim, dual = (sum(_level_sets(sys, sys.J0, d), []) for d in (False, True))
+    return VerificationReport({
+        "biorthogonality-interior": _interior_biorthogonality_residual(sys),
+        "biorthogonality-level-J0": _level_biorthogonality_residual(prim, dual),
+        "moments-boundary": _boundary_moment_residual(sys),
         "moments-interior": _interior_moment_residual(sys),
         "h1-membership": _continuity_residual(sys),
-        "support-disjointness-J0": _disjointness_residual(sys),
-    }
-    # ladder checks raise on failure; record as residual instead
-    try:
-        dual_antiderivative_ladder(sys)
-        extra["dual-antiderivative-ladder"] = 0.0
-    except SystemVerificationError as e:
-        extra["dual-antiderivative-ladder"] = e.residual
-    return report.merge(VerificationReport(extra))
+        "support-disjointness-J0": _disjointness_residual(sys, prim + dual),
+        "dual-antiderivative-ladder": _ladder_residual(sys),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -448,60 +448,32 @@ def full_verification(sys: WaveletSystem) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def dual_antiderivative_ladder(sys: WaveletSystem):
-    """Iterated antiderivatives of the dual wavelets, with property checks.
+def dual_antiderivative_ladder(sys: WaveletSystem) -> dict:
+    """Iterated antiderivatives of the dual wavelets, m steps each.
 
     Interior and right-boundary duals integrate from the left; left-
-    boundary duals use minus the integral from the right.  Checks: the
-    interior ladder stays supported inside the original support for all
-    m steps, and boundary ladders vanish at their endpoint (0 on the
-    left, 1 on the right) from the second step on.  The first boundary
-    step may be nonzero at the endpoint; that is allowed.
+    boundary duals use minus the integral from the right.  The battery's
+    ladder check asks the interior ladder to stay supported inside the
+    original support for all m steps, and boundary ladders to vanish at
+    their endpoint (0 on the left, 1 on the right) from the second step
+    on; the first boundary step may be nonzero at the endpoint.
 
     Returns a dict with keys 'interior', 'left', 'right'; each value is
     a list (one entry per dual wavelet) of the ladder [step1, ..., stepm].
     """
-    m = sys.m
-    out = {"interior": [], "left": [], "right": []}
 
-    for f in sys.psi_dual:
-        ladder = []
-        cur = f
-        for n in range(1, m + 1):
-            cur, compact = cur.antiderivative_from_left()
-            if not compact:
-                raise SystemVerificationError(
-                    f"interior dual ladder support containment (step {n})", 1.0
-                )
-            ladder.append(cur)
-        out["interior"].append(ladder)
+    def ladder(f, to_right=False):
+        steps = []
+        for _ in range(sys.m):
+            f, _ = f.antiderivative_to_right() if to_right else f.antiderivative_from_left()
+            steps.append(f)
+        return steps
 
-    for f in sys.psi_left_dual:
-        ladder = []
-        cur = f
-        for n in range(1, m + 1):
-            cur, _ = cur.antiderivative_to_right()
-            v = float(cur._local_coeffs(cur.breakpoints[0])[0])
-            if n >= 2 and abs(v) > 1e-12:
-                raise SystemVerificationError(
-                    f"left boundary dual ladder endpoint value (step {n})", abs(v)
-                )
-            ladder.append(cur)
-        out["left"].append(ladder)
-
-    for f in sys.psi_right_dual:
-        ladder = []
-        cur = f
-        for n in range(1, m + 1):
-            cur, _ = cur.antiderivative_from_left()
-            v = cur(float(cur.breakpoints[-1]))  # left limit at the right end
-            if n >= 2 and abs(v) > 1e-12:
-                raise SystemVerificationError(
-                    f"right boundary dual ladder endpoint value (step {n})", abs(v)
-                )
-            ladder.append(cur)
-        out["right"].append(ladder)
-    return out
+    return {
+        "interior": [ladder(f) for f in sys.psi_dual],
+        "left": [ladder(f, to_right=True) for f in sys.psi_left_dual],
+        "right": [ladder(f) for f in sys.psi_right_dual],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +496,23 @@ _FAMILY_NAMES = (
 )
 
 _BREAK_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
+_EXACT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _FUNC_RE = re.compile(r"^FUNC\s+(\w+)\[(\d+)\]$")
 
 
 def _format_break(b: Fraction) -> str:
     e = b.denominator.bit_length() - 1
     return f"{b.numerator}/2^{e}" if e else str(b.numerator)
+
+
+def _format_coeff(c) -> str:
+    """An exact coefficient as `p/q` or an integer, any other as a float."""
+    return str(c) if isinstance(c, (Fraction, int)) else repr(float(c))
+
+
+def _parse_coeff(t: str):
+    """An integer or `p/q` token as a Fraction, any other with float()."""
+    return Fraction(t) if _EXACT_RE.match(t) else float(t)
 
 
 def save_system(sys: WaveletSystem, path) -> None:
@@ -546,7 +529,7 @@ def save_system(sys: WaveletSystem, path) -> None:
             lines.append(f"FUNC {name}[{i}]")
             lines.append("BREAKS " + " ".join(_format_break(b) for b in f.breakpoints))
             for p in f.pieces:
-                lines.append("PIECE " + " ".join(repr(float(c)) for c in p))
+                lines.append("PIECE " + " ".join(_format_coeff(c) for c in p))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -611,8 +594,8 @@ def load_system(path) -> WaveletSystem:
             if cur_breaks is None:
                 raise SystemFormatError(f"line {lineno}: PIECE before BREAKS")
             try:
-                cur_pieces.append(tuple(float(t) for t in line.split()[1:]))
-            except ValueError as e:
+                cur_pieces.append(tuple(_parse_coeff(t) for t in line.split()[1:]))
+            except (ValueError, ZeroDivisionError) as e:
                 raise SystemFormatError(f"line {lineno}: bad coefficient: {e}") from e
         else:
             key, *rest = line.split()
@@ -647,9 +630,4 @@ def load_system(path) -> WaveletSystem:
         )
     except ValueError as e:
         raise SystemFormatError(str(e)) from e
-
-    report = full_verification(sys)
-    if not report.all_passed:
-        name, res = report.worst()
-        raise SystemVerificationError(name, float(res))
-    return sys
+    return _accept(sys)

@@ -3,6 +3,7 @@
 import math
 import textwrap
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -213,6 +214,50 @@ class TestExitCodes:
     def test_verify_only_builtin(self, capsys):
         assert main(["--verify-only"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_verify_only_runs_the_battery_once(self, monkeypatch, tmp_path, capsys):
+        import wavegal.wavelets as wavelets
+
+        path = tmp_path / "sys.txt"
+        wavelets.save_system(wavelets.builtin_order2_system(), path)
+        # every battery computes the interior moments once, whoever runs it
+        calls = []
+        real = wavelets._interior_moment_residual
+        monkeypatch.setattr(wavelets, "_interior_moment_residual", lambda sysdef: calls.append(1) or real(sysdef))
+        wavelets.builtin_order2_system.cache_clear()  # a fresh process builds the system anew
+        try:
+            for argv in (["--verify-only"], ["--verify-only", "--system", str(path)]):
+                calls.clear()
+                assert main(argv) == EXIT_OK
+                assert len(calls) == 1, argv
+                out = capsys.readouterr().out.splitlines()
+                assert len(out) == 7 and all(line.startswith("PASS") for line in out)
+        finally:
+            wavelets.builtin_order2_system.cache_clear()
+
+    def test_verify_only_prints_every_check_of_a_failing_file(self, tmp_path, capsys):
+        from wavegal.wavelets import builtin_order2_system, save_system
+
+        path = tmp_path / "sys.txt"
+        save_system(builtin_order2_system(), path)
+        # bump one coefficient of the interior dual wavelet by 1e-3
+        text = path.read_text().splitlines()
+        at = text.index("FUNC psi_dual[0]") + 2
+        toks = text[at].split()
+        toks[1] = repr(float(Fraction(toks[1])) + 1e-3)
+        text[at] = " ".join(toks)
+        path.write_text("\n".join(text) + "\n")
+        assert main(["--verify-only", "--system", str(path)]) == EXIT_SYSTEM
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert len(out) == 7
+        assert [line.split()[1].rstrip(":") for line in out if line.startswith("FAIL")] == [
+            "biorthogonality-interior",
+            "biorthogonality-level-J0",
+            "moments-interior",
+            "dual-antiderivative-ladder",
+        ]
+        assert "biorthogonality-interior (residual" in captured.err
 
 
 class TestRun:

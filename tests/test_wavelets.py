@@ -14,8 +14,7 @@ from wavegal.wavelets import (
     full_verification,
     load_system,
     save_system,
-    verify_biorthogonality,
-    verify_boundary_moments,
+    _FAMILY_NAMES,
     _level_sets,
 )
 
@@ -79,9 +78,10 @@ class TestPerturbationSensitivity:
         pieces[0][0] = float(pieces[0][0]) + 1e-3
         bad = PiecewisePolynomial(pd.breakpoints, [tuple(p) for p in pieces])
         bad_sys = dataclasses.replace(sys2, psi_dual=(bad,))
-        report = verify_biorthogonality(bad_sys)
+        report = full_verification(bad_sys)
         assert not report.all_passed
-        assert report.worst()[1] >= 1e-4
+        assert report.checks["biorthogonality-interior"] >= 1e-4
+        assert report.checks["biorthogonality-level-J0"] >= 1e-4
 
     def test_moment_break_is_detected(self, sys2):
         # adding a constant offset on one cell breaks the vanishing moments
@@ -115,16 +115,44 @@ class TestAntiderivativeLadder:
         r2 = ladder["right"][0][1]
         assert r2(float(r2.breakpoints[-1])) == pytest.approx(0.0, abs=1e-12)
 
+    def test_residual_is_the_largest_violation(self, sys2):
+        # a constant bump on the boundary dual's cell next to its endpoint moves
+        # the second ladder step's endpoint value by 1/8 of the bump: the left
+        # ladder misses by about 1e-11 (under the tolerance), the right by 1e-3
+        def bumped(f, piece, eps):
+            pieces = [list(p) for p in f.pieces]
+            pieces[piece][0] += eps
+            return PiecewisePolynomial(f.breakpoints, pieces)
+
+        bad_sys = dataclasses.replace(
+            sys2,
+            psi_left_dual=(bumped(sys2.psi_left_dual[0], 0, 8.336e-11),),
+            psi_right_dual=(bumped(sys2.psi_right_dual[0], -1, 8.336e-3),),
+        )
+        ladder = full_verification(bad_sys).checks["dual-antiderivative-ladder"]
+        assert ladder == pytest.approx(1.042e-3, rel=1e-9)
+
 
 class TestVerificationReport:
-    def test_merge_and_worst(self, sys2):
-        a = verify_biorthogonality(sys2)
-        b = verify_boundary_moments(sys2)
-        merged = a.merge(b)
-        assert set(merged.checks) == set(a.checks) | set(b.checks)
-        name, res = merged.worst()
-        assert res == max(merged.checks.values())
-        assert "PASS" in str(merged)
+    def test_names_order_worst_and_str(self, sys2):
+        report = full_verification(
+            dataclasses.replace(sys2, psi_dual=(sys2.psi_dual[0].scale(Fraction(3, 2)),))
+        )
+        assert list(report.checks) == [
+            "biorthogonality-interior",
+            "biorthogonality-level-J0",
+            "moments-boundary",
+            "moments-interior",
+            "h1-membership",
+            "support-disjointness-J0",
+            "dual-antiderivative-ladder",
+        ]
+        name, res = report.worst()
+        assert res == max(report.checks.values()) == report.checks[name] > 0
+        lines = str(report).splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines] == list(report.checks)
+        assert lines[0] == "FAIL  biorthogonality-interior: 5.000e-01"
+        assert lines[2] == "PASS  moments-boundary: 0.000e+00"
 
 
 def _mutate(path_in, path_out, fn):
@@ -140,8 +168,19 @@ class TestFileFormat:
         save_system(sys2, p)
         loaded = load_system(p)
         assert loaded.m == sys2.m and loaded.J0 == sys2.J0
-        assert loaded.psi_dual[0].breakpoints == sys2.psi_dual[0].breakpoints
-        assert full_verification(loaded).all_passed
+        # exact coefficients are written as p/q, so the copy is exact too
+        for name in _FAMILY_NAMES:
+            for f, g in zip(getattr(loaded, name), getattr(sys2, name), strict=True):
+                assert (f.breakpoints, f.pieces) == (g.breakpoints, g.pieces), name
+                assert f.is_exact(), name
+        assert all(r == 0.0 for r in loaded.verification.checks.values()), loaded.verification.checks
+
+    def test_bad_coefficient_token(self, sys2, tmp_path):
+        src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_system(sys2, src)
+        _mutate(src, dst, lambda ls: [l.replace("PIECE 0 1", "PIECE 0 1/0") for l in ls])
+        with pytest.raises(SystemFormatError, match="bad coefficient"):
+            load_system(dst)
 
     def test_malformed_func_line(self, sys2, tmp_path):
         src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -198,15 +237,22 @@ class TestFileFormat:
                     in_target = l == "FUNC psi_dual[0]"
                 if in_target and not done and l.startswith("PIECE"):
                     toks = l.split()
-                    toks[1] = repr(float(toks[1]) + 1e-3)
+                    toks[1] = repr(float(Fraction(toks[1])) + 1e-3)  # a float token beside exact ones
                     l = " ".join(toks)
                     done = True
                 out.append(l)
             return out
 
         _mutate(src, dst, corrupt)
-        with pytest.raises(SystemVerificationError):
+        with pytest.raises(SystemVerificationError) as err:
             load_system(dst)
+        # every failing check is named with its residual, not only the worst
+        assert str(err.value) == (
+            "system verification failed: biorthogonality-interior (residual 3.750e-04), "
+            "biorthogonality-level-J0 (residual 3.750e-04), moments-interior (residual 5.000e-04), "
+            "dual-antiderivative-ladder (residual 1.000e+00)"
+        )
+        assert not err.value.report.all_passed
 
     def test_unrecognized_line_reports_position(self, sys2, tmp_path):
         src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
