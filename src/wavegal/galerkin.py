@@ -54,17 +54,26 @@ neither is stored.
 The rule reads the degree of the piece, not the order m, so it drops
 nothing it cannot prove for higher-order systems either.
 
-A is sparse and SPD, so `solve` factors it once (`_spd_factor`: SuperLU
-with diagonal pivots only, a sparse Cholesky factorization up to the
-scaling of its rows) and keeps the factor on the system, and
-`condition_number` inverts with that same factor when it is passed in.
+A is sparse and SPD, and where a is constant the zeros above leave
+most rows storing only their diagonal entry.  `solve` splits A's
+unknowns by its stored pattern (`_split`): each decoupled unknown, whose
+row stores only A_ii, is b_i / A_ii, and the coupled rest is solved by
+one factorization of its principal block (`_spd_factor`: SuperLU with
+diagonal pivots only, a sparse Cholesky factorization up to the scaling
+of its rows).  On ex1 and ex2 the block holds 2J+1 rows at level J
+(J+2 unenriched); on ex3, whose a varies right of gamma, about half of
+them.  `solve` keeps the split, with the block's factor, on the system,
+and `condition_number` reads it when it is passed in: the decoupled
+eigenvalues are the diagonal entries, and the block's extremes come
+from a dense eigensolve when it has at most KAPPA_DENSE_ROWS rows, and
+otherwise from Lanczos, inverting with the block's factor.
 There is no ordering step.  Every basis runs from its coarsest level to
-its finest, so the factor takes A with its rows and columns reversed, in
-that order, and eliminates the finest level first.  On the graph of the
-pairs of functions that share a cell, this order has filled nothing in
-every case tested.  A stores a subset of that graph, so the factor
-stays inside it; on the built-in problems L holds exactly the entries
-of A's lower triangle.
+its finest, so the factor takes the block with its rows and columns
+reversed, in that order, and eliminates the finest level first.  On the
+graph of the pairs of functions that share a cell, this order has
+filled nothing in every case tested.  A stores a subset of that graph,
+so the factor stays inside it; on the built-in problems L holds exactly
+the entries of the block's lower triangle.
 """
 
 from __future__ import annotations
@@ -101,6 +110,13 @@ QUAD_NODES = 10
 # relative tolerance of the Lanczos eigenvalue estimates in
 # `condition_number`; kappa's 7th significant digit is noise at this value
 KAPPA_TOL = 1e-4
+
+# coupled blocks up to this many rows take kappa's extremes from a dense
+# eigvalsh, larger ones from two Lanczos runs.  On one core of a 2-CPU
+# Xeon VM (one BLAS thread, best of 7-15), eigvalsh took 0.87 ms at 137
+# rows, 1.6 ms at 175, 2.7 ms at 200 and 4.7 ms at 261, and the two
+# Lanczos runs 1.2-2.7 ms on ex3's blocks of 125-261 rows
+KAPPA_DENSE_ROWS = 180
 
 
 class SolverError(RuntimeError):
@@ -209,10 +225,11 @@ class LinearSystem:
     b: np.ndarray
     basis: EnrichedBasis
     form: _CellForm = field(repr=False)
-    # the SPD factor of A reversed (`_spd_factor`, applied by `_factor_solve`),
-    # set by `solve` for `condition_number` to reuse; it is about as large as
-    # A's lower triangle, so a caller drops it once kappa is known
-    factor: scipy.sparse.linalg.SuperLU | None = field(default=None, repr=False)
+    # A's decoupled unknowns and the SPD factor of its coupled block
+    # (`_split`, `_spd_factor`), set by `solve` for `condition_number` to
+    # reuse; the block and its factor are about as large as the block's
+    # lower triangle, so a caller drops them once kappa is known
+    factor: _Split | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -451,53 +468,110 @@ def _factor_solve(factor, b):
     return factor.solve(np.ascontiguousarray(b[::-1]))[::-1]
 
 
+class _Split(NamedTuple):
+    """An SPD matrix A split into its decoupled unknowns `free`, whose rows
+    store nothing but the diagonal entry `diag` (A is symmetric, so their
+    columns store nothing else either), and the `coupled` rest, whose
+    principal sub-matrix A[coupled][:, coupled] is `block`.  `factor` is
+    the block's `_spd_factor`: None until it is made, and for an empty
+    block."""
+
+    free: np.ndarray
+    diag: np.ndarray
+    coupled: np.ndarray
+    block: scipy.sparse.csr_matrix
+    factor: scipy.sparse.linalg.SuperLU | None = None
+
+
+def _split(A) -> _Split:
+    """The `_Split` of A, read off its stored pattern: a row is decoupled
+    when it stores at most one entry, so an off-diagonal entry stored as
+    0.0 couples its row.  Raises SolverError unless every decoupled
+    diagonal entry is positive (a row storing only an off-diagonal entry
+    has a zero diagonal)."""
+    A = scipy.sparse.csr_matrix(A)
+    stored = np.diff(A.indptr)
+    free, coupled = np.flatnonzero(stored <= 1), np.flatnonzero(stored > 1)
+    diag = A.diagonal()[free]
+    if not np.all(diag > 0.0):
+        raise SolverError("matrix is not symmetric positive definite")
+    block = A if len(coupled) == A.shape[0] else A[coupled][:, coupled]
+    return _Split(free, diag, coupled, block)
+
+
 def solve(system: LinearSystem) -> DiscreteSolution:
-    """Solve A c = b by one sparse SPD factorization of A, which is kept
-    as `system.factor`."""
-    system.factor = _spd_factor(system.A)
-    c = _factor_solve(system.factor, np.asarray(system.b, dtype=float))
+    """Solve A c = b.  Each decoupled unknown of A (`_split`) is
+    b_i / A_ii, and the coupled ones come from one sparse SPD
+    factorization of their block.  The split, holding that factor, is
+    kept as `system.factor`."""
+    split = _split(system.A)
+    if len(split.coupled):
+        split = split._replace(factor=_spd_factor(split.block))
+    b = np.asarray(system.b, dtype=float)
+    c = np.empty(len(b))
+    c[split.free] = b[split.free] / split.diag
+    if split.factor is not None:
+        c[split.coupled] = _factor_solve(split.factor, b[split.coupled])
+    system.factor = split
     return DiscreteSolution(c, system.basis, system.form)
 
 
 def condition_number(A, factor=None) -> float:
-    """kappa = lambda_max / lambda_min of an SPD matrix.
+    """kappa = lambda_max / lambda_min of an SPD matrix A.
 
-    Small matrices use a direct symmetric eigensolve; larger ones use
-    Lanczos with deterministic start vectors and relative tolerance
-    KAPPA_TOL.  The largest eigenvalue is found directly, from the unit
-    vector along ones/sqrt(n) + e_i, i the row of A's largest diagonal
-    entry: the top eigenvector often puts most of its weight there (65-77%
-    on ex3 at J=5..10), and the uniform part keeps an overlap with it where
-    it does not.  The smallest comes from shift-invert at zero in a Krylov
-    space of 6 vectors (the inverted spectrum's top is well separated),
-    inverting with `factor`, the `_spd_factor` of A, which is made here
-    when not given.
+    `factor` is the `_split` of A that `solve` keeps, made here when not
+    given.  The eigenvalues of the decoupled unknowns are their diagonal
+    entries, exactly.  A coupled block of at most KAPPA_DENSE_ROWS rows
+    gives its extremes by a dense symmetric eigensolve; a larger one by
+    Lanczos (`_lanczos_extremes`).
     """
-    n = A.shape[0]
-    if n <= 3:
-        w = np.linalg.eigvalsh(np.asarray(A.todense() if scipy.sparse.issparse(A) else A))
-        return float(w[-1] / w[0])
-    As = scipy.sparse.csr_matrix(A)
+    split = factor if factor is not None else _split(A)
+    lo, hi = (split.diag.min(), split.diag.max()) if len(split.free) else (np.inf, 0.0)
+    n = len(split.coupled)
+    if n:
+        if n <= KAPPA_DENSE_ROWS:
+            w = np.linalg.eigvalsh(split.block.toarray())
+            lmin, lmax = w[0], w[-1]
+        else:
+            lmin, lmax = _lanczos_extremes(split)
+        if not 0.0 < lmin <= lmax < np.inf:
+            raise SolverError(f"bad extreme eigenvalues ({lmin}, {lmax})")
+        lo, hi = min(lo, lmin), max(hi, lmax)
+    return float(hi / lo)
+
+
+def _lanczos_extremes(split: _Split) -> tuple[float, float]:
+    """The extreme eigenvalues of the coupled block, by Lanczos with
+    deterministic start vectors and relative tolerance KAPPA_TOL.  The
+    largest is found directly, from the unit vector along
+    ones/sqrt(n) + e_i, i the row of the block's largest diagonal entry:
+    the top eigenvector often puts most of its weight there (65-77% on ex3
+    at J=5..10), and the uniform part keeps an overlap with it where it
+    does not.  The smallest comes from shift-invert at zero in a Krylov
+    space of 6 vectors (the inverted spectrum's top is well separated),
+    inverting with the block's factor, which is made here when the split
+    has none.
+    """
+    B = split.block
+    n = B.shape[0]
     v0 = np.ones(n) / np.sqrt(n)
     top = v0.copy()
-    top[np.argmax(As.diagonal())] += 1.0
+    top[np.argmax(B.diagonal())] += 1.0
     top /= np.linalg.norm(top)
-    lu = factor if factor is not None else _spd_factor(As)
+    lu = split.factor if split.factor is not None else _spd_factor(B)
     try:
         lmax = scipy.sparse.linalg.eigsh(
-            As, k=1, which="LA", tol=KAPPA_TOL, v0=top, return_eigenvectors=False
+            B, k=1, which="LA", tol=KAPPA_TOL, v0=top, return_eigenvectors=False
         )[0]
         lmin = scipy.sparse.linalg.eigsh(
-            As, k=1, sigma=0.0, which="LM", tol=KAPPA_TOL, v0=v0, ncv=min(n, 6),
+            B, k=1, sigma=0.0, which="LM", tol=KAPPA_TOL, v0=v0, ncv=6,
             return_eigenvectors=False,
             OPinv=scipy.sparse.linalg.LinearOperator(
-                As.shape, matvec=lambda v: _factor_solve(lu, v), dtype=float),
+                B.shape, matvec=lambda v: _factor_solve(lu, v), dtype=float),
         )[0]
     except Exception as e:  # scipy raises several unrelated types here
         raise SolverError(f"eigenvalue estimation failed: {e}") from e
-    if lmin <= 0 or not np.isfinite(lmin) or not np.isfinite(lmax):
-        raise SolverError(f"bad extreme eigenvalues ({lmin}, {lmax})")
-    return float(lmax / lmin)
+    return lmin, lmax
 
 
 def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarray]:

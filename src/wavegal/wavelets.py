@@ -313,16 +313,27 @@ def _overlap_shifts(p: PiecewisePolynomial, q: PiecewisePolynomial):
 
 
 def _level_sets(sys: WaveletSystem, j: int, dual: bool):
-    """Flat lists of the level-j scaling and wavelet functions on [0,1]."""
+    """Flat lists of the level-j scaling and wavelet functions on [0,1],
+    each f(2^j . - k) times 2^j for a primal and times 1 for a dual.  A
+    primal/dual inner product is then that of the L2-normalized
+    2^(j/2) f(2^j . - k), and exact at every j: `dyadic_transform`'s
+    2^(j/2) is a float at odd j."""
+    two_j = Fraction(2) ** j
+    amp = 1 if dual else two_j
+
+    def dilate(f, k):
+        return PiecewisePolynomial([(b + k) / two_j for b in f.breakpoints],
+                                   [tuple(amp * c * two_j**n for n, c in enumerate(p)) for p in f.pieces])
+
     phi_set, psi_set = [], []
     for kind, out in (("scaling", phi_set), ("wavelet", psi_set)):
         for f in sys.family(kind, "left", dual):
-            out.append(f.dyadic_transform(j, 0))
+            out.append(dilate(f, 0))
         for k in sys.interior_range(kind, j):
             for f in sys.family(kind, "interior", dual):
-                out.append(f.dyadic_transform(j, k))
+                out.append(dilate(f, k))
         for f in sys.family(kind, "right", dual):
-            out.append(f.dyadic_transform(j, 2**j - 1))
+            out.append(dilate(f, 2**j - 1))
     return phi_set, psi_set
 
 

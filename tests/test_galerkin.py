@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wavegal.galerkin as galerkin
 from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
 from wavegal.analysis import error_norms
 from wavegal.expressions import parse_expression
@@ -20,7 +21,9 @@ from wavegal.galerkin import (
     InterfaceProblem,
     LinearSystem,
     SolverError,
+    KAPPA_DENSE_ROWS,
     _cell_values,
+    _factor_solve,
     _graded_mesh,
     _piecewise_call,
     _spd_factor,
@@ -604,6 +607,97 @@ class TestConditionNumber:
             condition_number(system.A), rel=1e-12)
 
 
+def system_of(sys2, A, b):
+    """A LinearSystem holding A and b on a truncated basis of A's size
+    (2^(J+1) - 1 rows)."""
+    eb = truncated_basis(sys2, 2, int(np.log2(A.shape[0] + 1)) - 1)
+    assert eb.N == A.shape[0]
+    return LinearSystem(scipy.sparse.csr_matrix(A), b, eb, assemble(eb, plain_problem()).form)
+
+
+def interleaved(rng, n, k):
+    """An n x n SPD matrix: a random dense SPD block, eigenvalues 1..1e3,
+    on k random rows, and a random positive diagonal on the others."""
+    coupled = np.sort(rng.choice(n, size=k, replace=False))
+    Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    B = (Q * np.geomspace(1.0, 1e3, k)) @ Q.T
+    M = np.diag(rng.uniform(1.0, 1e3, n))
+    M[np.ix_(coupled, coupled)] = (B + B.T) / 2
+    return scipy.sparse.csr_matrix(M)
+
+
+def forbidden(A):
+    raise AssertionError("_spd_factor called")
+
+
+class TestDecoupledUnknowns:
+    """`solve` and `condition_number` read the unknowns whose row and column
+    store only the diagonal off it, and factor only the coupled rest."""
+
+    def test_diagonal_matrix_needs_no_factor(self, sys2, monkeypatch):
+        monkeypatch.setattr(galerkin, "_spd_factor", forbidden)
+        rng = np.random.default_rng(3)
+        d, b = rng.uniform(0.1, 1e4, 63), rng.normal(size=63)
+        system = system_of(sys2, scipy.sparse.diags(d), b)
+        assert np.array_equal(solve(system).coefficients, b / d)
+        assert condition_number(system.A, system.factor) == d.max() / d.min()
+        assert condition_number(system.A) == d.max() / d.min()
+
+    def test_no_decoupled_row_takes_the_whole_matrix(self, sys2):
+        # a 1D stiffness matrix with random coefficients, larger than the
+        # dense bound: the solution and kappa of one factor of all of A
+        rng = np.random.default_rng(4)
+        n = 511
+        assert n > KAPPA_DENSE_ROWS
+        a = rng.uniform(0.5, 2.0, n + 1)
+        A = scipy.sparse.diags([-a[1:-1], a[:-1] + a[1:], -a[1:-1]], [-1, 0, 1], format="csr")
+        b = rng.normal(size=n)
+        system = system_of(sys2, A, b)
+        lu = galerkin._spd_factor(A)
+        assert np.array_equal(solve(system).coefficients, _factor_solve(lu, b))
+        v0 = np.ones(n) / np.sqrt(n)
+        top = v0.copy()
+        top[np.argmax(A.diagonal())] += 1.0
+        top /= np.linalg.norm(top)
+        lmax = scipy.sparse.linalg.eigsh(A, k=1, which="LA", tol=galerkin.KAPPA_TOL, v0=top,
+                                         return_eigenvectors=False)[0]
+        lmin = scipy.sparse.linalg.eigsh(
+            A, k=1, sigma=0.0, which="LM", tol=galerkin.KAPPA_TOL, v0=v0, ncv=6, return_eigenvectors=False,
+            OPinv=scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda v: _factor_solve(lu, v)),
+        )[0]
+        assert condition_number(system.A, system.factor) == lmax / lmin
+
+    @pytest.mark.parametrize("n, k", [(63, 1), (63, 25), (511, KAPPA_DENSE_ROWS), (511, 300)])
+    def test_interleaved_block(self, sys2, n, k):
+        rng = np.random.default_rng(n + k)
+        A = interleaved(rng, n, k)
+        b = rng.normal(size=n)
+        system = system_of(sys2, A, b)
+        c = solve(system).coefficients
+        ref = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(A), b)
+        assert np.linalg.norm(c - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert len(system.factor.coupled) == (k if k > 1 else 0)
+        if k <= KAPPA_DENSE_ROWS:
+            w = np.linalg.eigvalsh(A.toarray())
+            assert condition_number(system.A, system.factor) == pytest.approx(w[-1] / w[0], rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_non_positive_decoupled_diagonal_refused(self, sys2, bad):
+        d = np.ones(7)
+        d[3] = bad
+        A = scipy.sparse.diags(d, format="csr")  # stores the bad entry
+        with pytest.raises(SolverError):
+            solve(system_of(sys2, A, np.ones(7)))
+        with pytest.raises(SolverError):
+            condition_number(A)
+
+    def test_empty_row_refused(self, sys2):
+        A = scipy.sparse.csr_matrix(np.diag([2.0, 0.0, 3.0, 1.0, 1.0, 1.0, 1.0]))
+        assert np.diff(A.indptr)[1] == 0  # row 1 stores nothing
+        with pytest.raises(SolverError):
+            solve(system_of(sys2, A, np.ones(7)))
+
+
 @pytest.fixture(scope="module", params=[(pid, mode) for pid in ("ex1", "ex2", "ex3")
                                         for mode in ("enriched", "fem")], ids="-".join)
 def sweep_top(request, sys2):
@@ -664,6 +758,19 @@ class TestKappaAccuracy:
             lmin = scipy.sparse.linalg.eigsh(A, k=1, sigma=0.0, which="LM", tol=0,
                                              return_eigenvectors=False)[0]
             assert abs(condition_number(A) / (lmax / lmin) - 1.0) <= 1e-6, J
+
+    @pytest.mark.parametrize("mode", ["enriched", "fem"])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2"])
+    def test_ex1_ex2_match_a_dense_eigensolve(self, sys2, pid, mode):
+        # a is constant on each side: every coupled block is under the
+        # dense bound, so kappa is a full eigensolve
+        p = builtin_problem(pid)
+        basis = enriched_basis(sys2, 2, 10, p.gamma) if mode == "enriched" else truncated_basis(sys2, 2, 10)
+        top = assemble(basis, p)
+        for J in range(5, 11):
+            A = subsystem(top, J).A
+            w = np.linalg.eigvalsh(A.toarray())
+            assert condition_number(A) == pytest.approx(w[-1] / w[0], rel=1e-10), J
 
 
 def mesh_derivative(f, x):

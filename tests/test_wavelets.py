@@ -69,6 +69,13 @@ class TestBuiltinSystem:
         assert len(pphi) == len(dphi) == 2**j - 1
         assert len(ppsi) == len(dpsi) == 2**j
 
+    @pytest.mark.parametrize("J0", [2, 3])
+    def test_exact_battery_at_odd_and_even_coarsest_level(self, sys2, J0):
+        # at odd J0 each level-J0 function carries 2^(J0/2), a float; the
+        # battery pairs the primal's and the dual's into the exact 2^J0
+        report = full_verification(dataclasses.replace(sys2, J0=J0))
+        assert all(r == 0.0 for r in report.checks.values()), report.checks
+
 
 class TestPerturbationSensitivity:
     def test_single_coefficient_perturbation_is_detected(self, sys2):
