@@ -161,7 +161,7 @@ def run(cfg: ExperimentConfig, log=None) -> list:
         system = subsystem(full, J)
         sol = solve(system)
         kappa = condition_number(system.A, system.factor)
-        system.factor = None  # as large as A's fill: free it before measuring errors
+        system.factor = None  # the coupled block and its factor: free them before measuring errors
         if exact is None:  # once per sweep, when the first factor is freed
             exact = problem.exact.values(problem.gamma, full.form.nodes())
         pair = error_norms(sol, exact)
