@@ -22,9 +22,10 @@ coefficient is a shifted sum of per-block shares (one quadrature for all
 translates, as in Sweldens and Piessens, SIAM J. Numer. Anal. 31, 1994).
 One pass per dual, interior and boundary alike, gives a level; the cell
 gamma splits is integrated either side of it, and the touching family is
-the k range around gamma.  The pass streams a few thousand blocks at a
-time into the count, sum of squares and maximum the diagnostics need, so
-its memory does not grow with the level.
+the interface set, the k range `WaveletSystem.touching` decides exactly.
+The pass streams a few thousand blocks at a time into the count, sum of
+squares and maximum the diagnostics need, so its memory does not grow
+with the level.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ def write_records_csv(records: list, path) -> None:
 class _Lattice(NamedTuple):
     """A unit dual's lattice, independent of the level: its breakpoints are multiples of 1/p,
     it spans nb unit blocks from lo, and row i of `weights` holds w_q/p * eta~ at the
-    DECAY_QUAD_NODES Gauss nodes of the p cells of its block i, laid out (q, c)."""
+    DECAY_QUAD_NODES Gauss nodes of the p cells of its block i, laid out (q, c).  The dual
+    is member `component` of the `side` family."""
 
     side: str
     pp: PiecewisePolynomial
@@ -197,22 +199,23 @@ class _Lattice(NamedTuple):
     lo: int
     nb: int
     weights: np.ndarray
+    component: int = 0
 
 
-def _lattice(pp: PiecewisePolynomial, side: str) -> _Lattice:
+def _lattice(pp: PiecewisePolynomial, side: str, component: int = 0) -> _Lattice:
     p = max(b.denominator for b in pp.breakpoints)  # dyadic, so the largest is their lcm
     lo, hi = math.floor(pp.breakpoints[0]), math.ceil(pp.breakpoints[-1])
     xs, ws = gauss_rule(DECAY_QUAD_NODES)
     # node (q, c) of unit block i of the dual, cell edge + xs/p rounded once
     t = lo + np.arange(hi - lo) + np.arange(p)[:, None] / p + xs[:, None, None] / p
     weights = (ws[:, None, None] / p * pp.evaluate_array(t)).reshape(-1, hi - lo).T
-    return _Lattice(side, pp, p, lo, hi - lo, weights)
+    return _Lattice(side, pp, p, lo, hi - lo, weights, component)
 
 
 def _dual_lattices(sys: WaveletSystem) -> list:
     """The lattice of every dual wavelet, built once per diagnostic call."""
-    return [_lattice(pp, side) for side in ("left", "interior", "right")
-            for pp in sys.family("wavelet", side, dual=True)]
+    return [_lattice(sys.family("wavelet", side, dual=True)[comp], side, comp)
+            for side, comp, _ in sys.translates("wavelet", sys.J0)]
 
 
 def _lattice_coefficients(u, lat: _Lattice, j: int, ks: range, gamma: float):
@@ -262,23 +265,13 @@ def _lattice_coefficients(u, lat: _Lattice, j: int, ks: range, gamma: float):
 
 
 def _level_families(sys: WaveletSystem, j: int, gamma: float, lattices: list) -> list:
-    """(lattice, ks, touching) per dual wavelet of level j: its translates
-    (k = 0 and 2^j - 1 for the boundary duals) and the contiguous sub-range
-    of them whose closed support holds gamma, the indices the enrichment
-    rule picks up.  The rest are the away family."""
-    if j < sys.J0:
-        raise ValueError(f"level {j} below coarsest admissible level J0={sys.J0}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"interface point {gamma} must lie in (0, 1)")
-    ranges = {"left": range(1), "interior": sys.interior_range("wavelet", j), "right": range(2**j - 1, 2**j)}
-    t, out = 2.0**j * gamma, []
-    for lat in lattices:
-        ks, lo, hi = ranges[lat.side], float(lat.pp.support.lo), float(lat.pp.support.hi)
-        # gamma in 2^-j [lo + k, hi + k]  <=>  2^j gamma - hi <= k <= 2^j gamma - lo
-        t0 = min(max(math.ceil(t - hi), ks.start), ks.stop)
-        t1 = min(max(math.floor(t - lo) + 1, t0), ks.stop)
-        out.append((lat, ks, range(t0, t1)))
-    return out
+    """(lattice, ks, touching) per lattice's dual wavelet at level j: its
+    translates (`sys.translates`) and the sub-range of them whose closed
+    support holds gamma (`sys.touching`), the interface set.  The rest
+    are the away family."""
+    by_member = {(side, comp): (ks, touch) for (side, comp, ks), (*_, touch)
+                 in zip(sys.translates("wavelet", j), sys.touching(j, gamma))}
+    return [(lat, *by_member[lat.side, lat.component]) for lat in lattices]
 
 
 @dataclass(frozen=True)
@@ -335,24 +328,21 @@ def coefficient_decay_probe(u, sys: WaveletSystem, gamma: float, j_range) -> tup
     )
 
 
-def tail_energy(u, sys: WaveletSystem, gamma: float, J: int, j_max: int | None = None) -> tuple:
+def tail_energy(u, sys: WaveletSystem, gamma: float, J: int) -> tuple:
     """Energy of the coefficients outside the enriched index set at level J.
 
     Returns (tail_smooth, tail_interface): the away-family sum runs over
-    levels J+1..j_max (those wavelets are never enriched); the touching-
-    family sum starts at (2m-2)J, the first level past the enrichment
-    range.  Both should scale like 2^(-2(m-1)J).
+    levels J+1..(2m-2)J+6 (those wavelets are never enriched); the
+    touching-family sum starts at (2m-2)J, the first level past the
+    enrichment range.  Both should scale like 2^(-2(m-1)J).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"interface point {gamma} must lie in (0, 1)")
     if J < sys.J0:
         raise ValueError(f"level J={J} below coarsest admissible level J0={sys.J0}")
     top_enriched = sys.enrichment_depth(J)
-    j_max = top_enriched + 7 if j_max is None else j_max
-    if j_max < J + 1:
-        raise ValueError(f"j_max={j_max} leaves no level past J={J}")
     tail_smooth, tail_interface, lattices = 0.0, 0.0, _dual_lattices(sys)
-    for j in range(J + 1, j_max + 1):
+    for j in range(J + 1, top_enriched + 8):
         level = _level_coefficients(u, sys, j, gamma, lattices)
         tail_smooth += level.away_sumsq
         if j > top_enriched:

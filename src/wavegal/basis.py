@@ -4,7 +4,9 @@ The discrete space is spanned by the coarsest-level scaling functions
 plus wavelet levels J0..J, all rescaled by 2^-j so the stiffness matrix
 is well conditioned.  Near the interface the space is enriched with the
 finer wavelets whose *dual* supports contain the interface point, for
-levels J+1 up to (2m-2)J - 1.
+levels J+1 up to (2m-2)J - 1.  The system decides both: a level's rows
+are its layout `WaveletSystem.translates`, and an interface set is
+`WaveletSystem.touching`, compared exactly with gamma.
 
 Each function is one member of a primal family at level j and translate
 k, so a basis is four int arrays (family, component, j, k) plus float
@@ -65,21 +67,16 @@ def _make(sys: WaveletSystem, kind: str, side: str, j: int, k: int, comp: int) -
     return BasisFunction(j, k, f"{kind}-{side}", comp, pp, dual_support)
 
 
-def _level(sys: WaveletSystem, kind: str, j: int) -> np.ndarray:
-    """Rows (family, component, j, k) of the level-j scaling or wavelet set:
-    left family, interior translates, right family."""
-    if j < sys.J0:
-        raise ValueError(f"level {j} below coarsest admissible level J0={sys.J0}")
-    r, ks = sys.r, sys.interior_range(kind, j)
-    nl, nr = len(sys.family(kind, "left")), len(sys.family(kind, "right"))
-    left, interior, right = (FAMILIES.index((kind, side)) for side in ("left", "interior", "right"))
-    return np.stack([
-        np.repeat([left, interior, right], [nl, len(ks) * r, nr]),
-        np.concatenate([np.arange(nl), np.tile(np.arange(r), len(ks)), np.arange(nr)]),
-        np.full(nl + len(ks) * r + nr, j),
-        np.concatenate([np.zeros(nl, int), np.repeat(np.arange(ks.start, ks.stop), r),
-                        np.full(nr, 2**j - 1)]),
-    ], axis=1)
+def _rows(sys: WaveletSystem, kind: str, j: int, members: tuple) -> np.ndarray:
+    """Rows (family, component, j, k) of the level-j members (side,
+    component, ks) of `sys.translates` or `sys.touching`, in basis order:
+    by side, then translate, then component."""
+    counts = [len(ks) for *_, ks in members]
+    family = np.repeat([FAMILIES.index((kind, side)) for side, _, _ in members], counts)
+    component = np.repeat([comp for _, comp, _ in members], counts)
+    k = np.concatenate([np.arange(ks.start, ks.stop) for *_, ks in members])
+    order = np.lexsort((component, k, family))
+    return np.stack([family, component, np.full(len(k), j), k], axis=1)[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +154,15 @@ class EnrichedBasis:
     @cached_property
     def _touching(self) -> np.ndarray:
         """Mask of the wavelet rows past level J0 whose dual support holds gamma."""
-        deep = np.flatnonzero(self.j > self.J0)
-        mask = np.zeros(len(self), dtype=bool)
-        rows = np.stack([a[deep] for a in (self.family, self.component, self.j, self.k)], axis=1)
-        mask[deep[_touches(self.sys, rows, self.gamma)]] = True
-        return mask
+        # [k0, k1) per (level - J0, family, component): the touching translates,
+        # none at level J0 and none of a scaling family
+        top, width = int(self.j.max()), max(len(self.sys.family(*f)) for f in FAMILIES)
+        bounds = np.zeros((top - self.J0 + 1, len(FAMILIES), width, 2), dtype=np.intp)
+        for j in range(self.J0 + 1, top + 1):
+            for side, comp, ks in self.sys.touching(j, self.gamma):
+                bounds[j - self.J0, FAMILIES.index(("wavelet", side)), comp] = ks.start, ks.stop
+        k0, k1 = bounds[self.j - self.J0, self.family, self.component].T
+        return (k0 <= self.k) & (self.k < k1)
 
 
 def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
@@ -169,8 +170,8 @@ def _assemble(sys, J0, J, gamma, top) -> EnrichedBasis:
     levels J+1..top, in that order."""
     if J < J0:
         raise ValueError(f"J={J} must be >= J0={J0}")
-    blocks = [_level(sys, "scaling", J0)]
-    blocks += [_level(sys, "wavelet", j) for j in range(J0, J + 1)]
+    blocks = [_rows(sys, "scaling", J0, sys.translates("scaling", J0))]
+    blocks += [_rows(sys, "wavelet", j, sys.translates("wavelet", j)) for j in range(J0, J + 1)]
     blocks += [interface_set(sys, j, gamma) for j in range(J + 1, top + 1)]
     rows = np.concatenate(blocks)
     return EnrichedBasis(sys, *rows.T, J0=J0, J=J, gamma=gamma)
@@ -185,48 +186,12 @@ def truncated_basis(sys: WaveletSystem, J0: int, J: int) -> EnrichedBasis:
     return _assemble(sys, J0, J, None, J)
 
 
-def _touches(sys: WaveletSystem, rows: np.ndarray, gamma: float) -> np.ndarray:
-    """Mask of the wavelet rows (family, component, j, k) whose closed dual
-    support [(lo + k) 2^-j, (hi + k) 2^-j] holds gamma, inclusive at the
-    endpoints.  The endpoints lo, hi are multiples of 1/p, p a power of
-    two, so the test is lo p + k p <= 2^j gamma p <= hi p + k p, on floats
-    that are all exact while 2^j p < 2^53."""
-    sides = [f for f, (kind, _) in enumerate(FAMILIES) if kind == "wavelet"]
-    sups = {f: [pp.support for pp in sys.family(*FAMILIES[f], dual=True)] for f in sides}
-    p = max(e.denominator for fam in sups.values() for s in fam for e in (s.lo, s.hi))
-    ends = np.zeros((len(FAMILIES), max(len(fam) for fam in sups.values()), 2))
-    for f, fam in sups.items():
-        ends[f, : len(fam)] = [[float(s.lo) * p, float(s.hi) * p] for s in fam]
-    family, comp, j, k = rows.T
-    ends = ends[family, comp] + (k * p)[:, None]
-    g = np.ldexp(gamma, j) * p
-    return (ends[:, 0] <= g) & (g <= ends[:, 1])
-
-
 def interface_set(sys: WaveletSystem, j: int, gamma: float) -> np.ndarray:
     """Level-j wavelets whose dual support contains the interface point, as
-    rows (family, component, j, k) in basis order.
-
-    Membership is tested exactly against the closed dual support (see
-    `_touches`): if gamma lands exactly on a shared dyadic endpoint, both
-    neighbors qualify.  Only the boundary functions and the O(1) interior
-    translates near gamma are tested, so this stays cheap at the deep
-    enrichment levels.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"interface point {gamma} must lie in (0, 1)")
-    # interior candidates: translates near 2^j gamma, a superset of the members
-    sup = [pp.support for pp in sys.family("wavelet", "interior", dual=True)]
-    t, ks = gamma * 2**j, sys.interior_range("wavelet", j)
-    lo, hi = min(float(s.lo) for s in sup), max(float(s.hi) for s in sup)
-    near = np.arange(max(ks.start, math.floor(t - hi) - 1), min(ks.stop, math.ceil(t - lo) + 2))
-    cand = []
-    for side, k in zip(("left", "interior", "right"), ([0], near, [2**j - 1])):
-        n = len(sys.family("wavelet", side, dual=True))
-        cand.append(np.stack([np.full(len(k) * n, FAMILIES.index(("wavelet", side))),
-                              np.tile(np.arange(n), len(k)), np.full(len(k) * n, j), np.repeat(k, n)], axis=1))
-    cand = np.concatenate(cand).astype(np.intp)
-    return cand[_touches(sys, cand, gamma)]
+    rows (family, component, j, k) in basis order, by `sys.touching`:
+    if gamma lands exactly on a shared dyadic endpoint, both neighbors
+    qualify."""
+    return _rows(sys, "wavelet", j, sys.touching(j, gamma))
 
 
 def enriched_basis(sys: WaveletSystem, J0: int, J: int, gamma: float) -> EnrichedBasis:

@@ -56,16 +56,9 @@ class Interval:
         """Closed-interval membership, inclusive at both endpoints."""
         return self.lo <= x <= self.hi
 
-    @property
-    def length(self) -> Fraction | float:
-        return self.hi - self.lo
-
     def intersects(self, other: "Interval") -> bool:
         """True when the interiors overlap (touching endpoints do not count)."""
         return max(self.lo, other.lo) < min(self.hi, other.hi)
-
-    def __contains__(self, x: float) -> bool:
-        return self.contains(x)
 
 
 def _as_dyadic(x) -> Fraction:

@@ -4,7 +4,11 @@ A system consists of interior scaling functions and wavelets (primal and
 dual) together with boundary-adapted families on the left and right ends
 of the unit interval, plus the index offsets that say which interior
 translates fit inside [0, 1] at each dyadic level.  Everything is a
-spline, carried by PiecewisePolynomial.
+spline, carried by PiecewisePolynomial.  The system owns two decisions
+that the basis, the verification battery and the decay diagnostics all
+take from it: the translates of every family at a level
+(`WaveletSystem.translates`), and which dual wavelets' closed supports
+hold an interface point (`WaveletSystem.touching`, in exact arithmetic).
 
 The module ships one built-in system of approximation order 2 whose dual
 functions are constructed at import time by solving small exact linear
@@ -15,6 +19,7 @@ are accepted purely on passing the same verification battery.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .piecewise import Interval, PiecewisePolynomial, inner_product
+from .piecewise import PiecewisePolynomial, inner_product
 
 __all__ = [
     "WaveletSystem",
@@ -132,6 +137,32 @@ class WaveletSystem:
         if kind == "scaling":
             return range(self.n_l_phi, 2**j - self.n_h_phi + 1)
         return range(self.n_l_psi, 2**j - self.n_h_psi + 1)
+
+    def translates(self, kind: str, j: int) -> tuple:
+        """The level-j layout of the scaling or wavelet families: (side,
+        component, ks) per member, left, interior and right in turn.  Every
+        left member sits at k = 0, every interior one at `interior_range`
+        and every right one at k = 2^j - 1."""
+        if j < self.J0:
+            raise ValueError(f"level {j} below coarsest admissible level J0={self.J0}")
+        ks = {"left": range(1), "interior": self.interior_range(kind, j), "right": range(2**j - 1, 2**j)}
+        return tuple((side, comp, ks[side]) for side in ks for comp in range(len(self.family(kind, side))))
+
+    def touching(self, j: int, gamma: float) -> tuple:
+        """The level-j dual wavelets whose closed support holds gamma:
+        `translates("wavelet", j)` with each member's ks cut to the
+        contiguous range of k with lo + k <= 2^j gamma <= hi + k, [lo, hi]
+        its unit dual support.  Decided in exact rational arithmetic: a
+        float gamma is a dyadic rational, so a gamma on a shared endpoint
+        lies in both neighbours' supports and one an ulp off in one."""
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"interface point {gamma} must lie in (0, 1)")
+        t, out = Fraction(gamma) * 2**j, []
+        for side, comp, ks in self.translates("wavelet", j):
+            sup = self.family("wavelet", side, dual=True)[comp].support
+            k0 = min(max(math.ceil(t - sup.hi), ks.start), ks.stop)
+            out.append((side, comp, range(k0, min(max(math.floor(t - sup.lo) + 1, k0), ks.stop))))
+        return tuple(out)
 
     @cached_property
     def float_tables(self) -> tuple:
@@ -305,36 +336,9 @@ def _accept(sys: WaveletSystem) -> WaveletSystem:
 
 def _overlap_shifts(p: PiecewisePolynomial, q: PiecewisePolynomial):
     """Integer shifts k with Supp(p) meeting Supp(q(. - k)), plus a margin."""
-    import math
-
     lo = math.floor(float(p.support.lo - q.support.hi)) - 1
     hi = math.ceil(float(p.support.hi - q.support.lo)) + 1
     return range(lo, hi + 1)
-
-
-def _level_sets(sys: WaveletSystem, j: int, dual: bool):
-    """Flat lists of the level-j scaling and wavelet functions on [0,1],
-    each f(2^j . - k) times 2^j for a primal and times 1 for a dual.  A
-    primal/dual inner product is then that of the L2-normalized
-    2^(j/2) f(2^j . - k), and exact at every j: `dyadic_transform`'s
-    2^(j/2) is a float at odd j."""
-    two_j = Fraction(2) ** j
-    amp = 1 if dual else two_j
-
-    def dilate(f, k):
-        return PiecewisePolynomial([(b + k) / two_j for b in f.breakpoints],
-                                   [tuple(amp * c * two_j**n for n, c in enumerate(p)) for p in f.pieces])
-
-    phi_set, psi_set = [], []
-    for kind, out in (("scaling", phi_set), ("wavelet", psi_set)):
-        for f in sys.family(kind, "left", dual):
-            out.append(dilate(f, 0))
-        for k in sys.interior_range(kind, j):
-            for f in sys.family(kind, "interior", dual):
-                out.append(dilate(f, k))
-        for f in sys.family(kind, "right", dual):
-            out.append(dilate(f, 2**j - 1))
-    return phi_set, psi_set
 
 
 def _interior_biorthogonality_residual(sys: WaveletSystem) -> float:
@@ -405,21 +409,17 @@ def _continuity_residual(sys: WaveletSystem) -> float:
 def _disjointness_residual(sys: WaveletSystem, level_sets: list) -> float:
     """Left/right boundary supports at level J0 must not overlap, and all
     level-J0 functions (primal and dual, `level_sets`) must live inside [0, 1]."""
-    j = sys.J0
-    worst = 0.0
-    lefts, rights = [], []
-    for dual in (False, True):
-        for kind in ("scaling", "wavelet"):
-            for f in sys.family(kind, "left", dual):
-                lefts.append(f.dyadic_transform(j, 0).support)
-            for f in sys.family(kind, "right", dual):
-                rights.append(f.dyadic_transform(j, 2**j - 1).support)
-    for f in level_sets:
-        s = f.support
-        worst = max(worst, float(max(0 - s.lo, s.hi - 1, 0)))
-    gap = min(float(rs.lo) for rs in rights) - max(float(ls.hi) for ls in lefts)
-    worst = max(worst, max(0.0, -gap))
-    return worst
+    his, los = [], []  # 2^J0 times the left supports' right ends and the right ones' left ends
+    for kind in ("scaling", "wavelet"):
+        for side, comp, ks in sys.translates(kind, sys.J0):
+            for dual in (False, True):
+                s = sys.family(kind, side, dual)[comp].support
+                if side == "left":
+                    his.append(s.hi + ks.start)
+                elif side == "right":
+                    los.append(s.lo + ks.start)
+    worst = max(float(max(0 - f.support.lo, f.support.hi - 1, 0)) for f in level_sets)
+    return max(worst, float(max(0, max(his) - min(los))) / 2**sys.J0)
 
 
 def _ladder_residual(sys: WaveletSystem) -> float:
@@ -442,7 +442,23 @@ def _ladder_residual(sys: WaveletSystem) -> float:
 
 def full_verification(sys: WaveletSystem) -> VerificationReport:
     """Run the complete battery required for accepting a system."""
-    prim, dual = (sum(_level_sets(sys, sys.J0, d), []) for d in (False, True))
+    # the level-J0 functions f(2^J0 . - k), times 2^J0 for a primal and 1 for a
+    # dual: a primal/dual inner product is then that of the L2-normalized
+    # translates, and exact at every J0, where `dyadic_transform`'s 2^(J0/2)
+    # is a float at odd J0
+    two = Fraction(2) ** sys.J0
+
+    def level_set(dual):
+        amp, out = 1 if dual else two, []
+        for kind in ("scaling", "wavelet"):
+            for side, comp, ks in sys.translates(kind, sys.J0):
+                f = sys.family(kind, side, dual)[comp]
+                out += [PiecewisePolynomial([(b + k) / two for b in f.breakpoints],
+                                            [tuple(amp * c * two**n for n, c in enumerate(p)) for p in f.pieces])
+                        for k in ks]
+        return out
+
+    prim, dual = level_set(False), level_set(True)
     return VerificationReport({
         "biorthogonality-interior": _interior_biorthogonality_residual(sys),
         "biorthogonality-level-J0": _level_biorthogonality_residual(prim, dual),

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavegal.basis import (
     EnrichedBasis,
-    _level,
     _make,
+    _rows,
     enriched_basis,
     interface_set,
     truncated_basis,
 )
+from wavegal.cli import MAX_LEVEL
 from wavegal.piecewise import inner_product
 from wavegal.wavelets import FAMILIES, builtin_order2_system
 
@@ -48,9 +49,14 @@ def oracle_interface_ks(sys, j, gamma):
     return sorted(out)
 
 
+def level_rows(sys, kind, j):
+    """Rows (family, component, j, k) of the level-j scaling or wavelet set."""
+    return _rows(sys, kind, j, sys.translates(kind, j))
+
+
 def level(sys, kind, j):
     """The level-j scaling or wavelet set as BasisFunctions, in basis order."""
-    return list(EnrichedBasis(sys, *_level(sys, kind, j).T, J0=j, J=j, gamma=None))
+    return list(EnrichedBasis(sys, *level_rows(sys, kind, j).T, J0=j, J=j, gamma=None))
 
 
 def former_order(sys, J0, J, gamma):
@@ -73,15 +79,15 @@ def former_order(sys, J0, J, gamma):
 class TestLevelSets:
     def test_scaling_level_counts(self, sys2):
         for j in (2, 3, 5, 8):
-            assert len(_level(sys2, "scaling", j)) == 2**j - 1
+            assert len(level_rows(sys2, "scaling", j)) == 2**j - 1
 
     def test_wavelet_level_counts(self, sys2):
         for j in (2, 3, 5, 8):
-            assert len(_level(sys2, "wavelet", j)) == 2**j
+            assert len(level_rows(sys2, "wavelet", j)) == 2**j
 
     def test_below_coarsest_level_rejected(self, sys2):
         with pytest.raises(ValueError):
-            _level(sys2, "scaling", sys2.J0 - 1)
+            level_rows(sys2, "scaling", sys2.J0 - 1)
         with pytest.raises(ValueError):
             truncated_basis(sys2, sys2.J0 - 1, sys2.J0)
 
@@ -177,6 +183,79 @@ class TestInterfaceSet:
     def test_gamma_out_of_range(self, sys2):
         with pytest.raises(ValueError):
             interface_set(sys2, 4, 0.0)
+
+    def test_level_below_coarsest_rejected(self, sys2):
+        # level 1 has no interior wavelet, and at level 0 the left and right
+        # boundary wavelets would both sit at k = 0
+        for j in (sys2.J0 - 1, 0):
+            with pytest.raises(ValueError, match=f"level {j} below coarsest admissible level J0={sys2.J0}"):
+                interface_set(sys2, j, 0.3)
+
+
+def exact_touching(sys, j, gamma):
+    """(side, component, k) of every level-j dual wavelet whose closed
+    support (lo + k) 2^-j .. (hi + k) 2^-j holds gamma, each candidate
+    compared in Fractions: the boundary duals at k = 0 and 2^j - 1, and
+    every interior translate k within max(|lo|, |hi|) + 1 of 2^j gamma,
+    which lo + k <= 2^j gamma <= hi + k requires of a member."""
+    g, two = Fraction(gamma), 2**j
+    reach = math.ceil(max(abs(e) for pd in sys.psi_dual for e in (pd.support.lo, pd.support.hi))) + 1
+    t = math.floor(g * two)
+    ks = sys.interior_range("wavelet", j)
+    cands = [("left", 0), ("right", two - 1)]
+    cands += [("interior", k) for k in range(max(ks.start, t - reach), min(ks.stop, t + reach + 1))]
+    return sorted((side, comp, k) for side, k in cands
+                  for comp, pd in enumerate(sys.family("wavelet", side, dual=True))
+                  if Fraction(pd.support.lo + k, two) <= g <= Fraction(pd.support.hi + k, two))
+
+
+# the deepest enrichment level the CLI's level guard admits, 27
+TOP_ENRICHED = builtin_order2_system().enrichment_depth(MAX_LEVEL)
+
+
+@st.composite
+def level_and_gamma(draw):
+    """A level J0..TOP_ENRICHED and an interface point drawn one of four ways:
+    uniformly, on a level-j dual-support endpoint, one ulp either side of
+    one, or with long runs of equal bits in its binary expansion."""
+    sys = builtin_order2_system()
+    j = draw(st.integers(sys.J0, TOP_ENRICHED))
+    way = draw(st.sampled_from(["uniform", "endpoint", "ulp", "runs"]))
+    if way == "uniform":
+        return j, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    if way == "runs":
+        runs, first = draw(st.lists(st.integers(1, 24), min_size=1, max_size=8)), draw(st.integers(0, 1))
+        bits = "".join(str((first + i) % 2) * n for i, n in enumerate(runs))[:53]
+        n = int(bits.ljust(53, "0"), 2)
+        return j, float(Fraction(max(n, 1), 2**53))
+    ends = sorted({e for side in ("left", "interior", "right") for pd in sys.family("wavelet", side, dual=True)
+                   for e in (pd.support.lo, pd.support.hi)})
+    x = Fraction(draw(st.sampled_from(ends)) + draw(st.integers(0, 2**j - 1)), 2**j)
+    gamma = float(min(max(x, Fraction(1, 2**j)), 1 - Fraction(1, 2**j)))
+    if way == "ulp":
+        gamma = float(np.nextafter(gamma, draw(st.sampled_from([0.0, 1.0]))))
+    return j, gamma
+
+
+class TestOneTouchingRule:
+    """The interface set and the diagnostics' touching family are one rule,
+    `WaveletSystem.touching`, and agree with exact enumeration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=level_and_gamma())
+    @example(case=(3, 0.5 - 2.0**-54))  # float 2^j gamma - lo once counted k = 5 here
+    @example(case=(27, 0.625 + 2.0**-52))
+    @example(case=(2, 2.0**-53))
+    def test_interface_set_diagnostics_and_enumeration_agree(self, sys2, case):
+        from wavegal.analysis import _dual_lattices, _level_families
+
+        j, gamma = case
+        rows = interface_set(sys2, j, gamma)
+        assert (rows[:, 2] == j).all()
+        got = sorted((FAMILIES[f][1], c, k) for f, c, _, k in rows.tolist())
+        diag = sorted((lat.side, lat.component, k)
+                      for lat, _, touch in _level_families(sys2, j, gamma, _dual_lattices(sys2)) for k in touch)
+        assert got == diag == exact_touching(sys2, j, gamma)
 
 
 class TestEnrichedBasis:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavegal.galerkin as galerkin
-from wavegal.basis import EnrichedBasis, _level, enriched_basis, truncated_basis
+from wavegal.basis import EnrichedBasis, _rows, enriched_basis, truncated_basis
 from wavegal.analysis import error_norms
 from wavegal.expressions import parse_expression
 from wavegal.galerkin import (
@@ -47,6 +47,11 @@ from wavegal.wavelets import builtin_order2_system
 @pytest.fixture(scope="module")
 def sys2():
     return builtin_order2_system()
+
+
+def level_rows(sys, kind, j):
+    """Rows (family, component, j, k) of the level-j scaling or wavelet set."""
+    return _rows(sys, kind, j, sys.translates(kind, j))
 
 
 def const(v):
@@ -128,7 +133,7 @@ class TestStiffness:
     def test_hat_stencil_constant_coefficient(self, sys2):
         # rescaled level-3 hats with a == 1: the classic tridiagonal
         # stencil, independent of the level thanks to the 2^-j rescaling
-        eb = EnrichedBasis(sys2, *_level(sys2, "scaling", 3).T, J0=3, J=3, gamma=0.3)
+        eb = EnrichedBasis(sys2, *level_rows(sys2, "scaling", 3).T, J0=3, J=3, gamma=0.3)
         A = assemble_stiffness(eb, plain_problem()).toarray()
         n = len(eb)
         for i in range(1, n - 1):
@@ -152,7 +157,7 @@ class TestStiffness:
 
     def test_jump_scales_one_side(self, sys2):
         # a hat supported strictly right of gamma scales linearly in a+
-        eb = EnrichedBasis(sys2, *_level(sys2, "scaling", 4).T, J0=4, J=4, gamma=0.2)
+        eb = EnrichedBasis(sys2, *level_rows(sys2, "scaling", 4).T, J0=4, J=4, gamma=0.2)
         A1 = assemble_stiffness(eb, plain_problem(gamma=0.2, ap=1.0)).toarray()
         A9 = assemble_stiffness(eb, plain_problem(gamma=0.2, ap=9.0)).toarray()
         i = next(
@@ -475,7 +480,7 @@ class TestStructuralZeros:
         # in the hierarchical basis a nested support never crosses a coarser
         # breakpoint; level-3 and level-4 hats together do (the level-4 hat
         # peaked at 1/8 lies in the support of the level-3 one, not in a piece)
-        rows = np.concatenate([_level(sys2, "scaling", 3), _level(sys2, "scaling", 4)])
+        rows = np.concatenate([level_rows(sys2, "scaling", 3), level_rows(sys2, "scaling", 4)])
         basis = EnrichedBasis(sys2, *rows.T, J0=3, J=4, gamma=None)
         self.assert_drops_what_the_rule_proves(basis, 0.9, True, True)
 

@@ -15,7 +15,6 @@ from wavegal.wavelets import (
     load_system,
     save_system,
     _FAMILY_NAMES,
-    _level_sets,
 )
 
 
@@ -64,10 +63,11 @@ class TestBuiltinSystem:
 
     def test_level_set_bijection_counts(self, sys2):
         j = sys2.J0
-        pphi, ppsi = _level_sets(sys2, j, dual=False)
-        dphi, dpsi = _level_sets(sys2, j, dual=True)
-        assert len(pphi) == len(dphi) == 2**j - 1
-        assert len(ppsi) == len(dpsi) == 2**j
+        for kind, n in (("scaling", 2**j - 1), ("wavelet", 2**j)):
+            members = sys2.translates(kind, j)
+            assert sum(len(ks) for *_, ks in members) == n
+            for side, comp, _ in members:  # each member's primal has its dual
+                assert len(sys2.family(kind, side, dual=True)) > comp
 
     @pytest.mark.parametrize("J0", [2, 3])
     def test_exact_battery_at_odd_and_even_coarsest_level(self, sys2, J0):
