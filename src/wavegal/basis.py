@@ -12,7 +12,8 @@ Each function is one member of a primal family at level j and translate
 k, so a basis is four int arrays (family, component, j, k) plus float
 tables gathered in one step from the system's per-family tables, equal to
 the floats of `dyadic_transform(j, k).scale(2^-j)`.  `basis[i]` builds
-function i exactly on access, for verification, and does not cache it.
+function i on access, for verification, and does not cache it: exactly
+at an even level j, with the float 2^(j/2) at an odd one.
 
 The spaces are nested: the level-J basis is a subset of the level-(J+1)
 basis, in the same order, so a sweep builds its deepest level once and
@@ -113,7 +114,7 @@ class EnrichedBasis:
         return len(self.j)
 
     def __getitem__(self, i) -> BasisFunction:
-        """Function i with its exact polynomial, built on access."""
+        """Function i, built on access (exact only at an even level j)."""
         kind, side = FAMILIES[self.family[i]]
         return _make(self.sys, kind, side, int(self.j[i]), int(self.k[i]), int(self.component[i]))
 
@@ -144,12 +145,6 @@ class EnrichedBasis:
         return rows, EnrichedBasis(
             self.sys, *(a[rows] for a in (self.family, self.component, self.j, self.k)),
             J0=self.J0, J=J, gamma=self.gamma)
-
-    @cached_property
-    def level_counts(self) -> dict:
-        """The number of functions of each level j."""
-        levels, counts = np.unique(self.j, return_counts=True)
-        return dict(zip(levels.tolist(), counts.tolist()))
 
     @cached_property
     def _touching(self) -> np.ndarray:

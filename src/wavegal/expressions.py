@@ -127,7 +127,7 @@ class Sum:
 @dataclass(frozen=True)
 class Mul:
     """a * b.  In a scaled node k * core, a is the Const k (never 1) and
-    the core b is no Const, Poly or scaled node."""
+    the core b is no Const, Poly, Sum or scaled node."""
 
     a: object
     b: object
@@ -282,7 +282,8 @@ def _split(node):
 
 
 def scale(k: float, node):
-    """k * node, with k folded into a constant factor or coefficient."""
+    """k * node, with k folded into a constant factor or coefficient, or
+    spread over a sum's terms and polynomial for `add` to collect."""
     if k == 1.0:
         return node
     if k == 0.0:
@@ -290,6 +291,8 @@ def scale(k: float, node):
     c = _coeffs(node)
     if c is not None:
         return _poly([k * ck for ck in c])
+    if isinstance(node, Sum):
+        return reduce(add, [scale(k, t) for t in node.terms], scale(k, node.poly))
     m, core = _split(node)
     return scale(k * m, core) if m != 1.0 else Mul(_const(k), node)
 

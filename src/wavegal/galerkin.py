@@ -23,7 +23,7 @@ the polynomial part.  Summing A over cells, not over Gauss nodes, keeps
 its entries within 5e-15 sqrt(A_ii A_jj) of a long-double sum of the
 same quadrature (3.6e-13 when summed node by node).  Everything reads
 the basis's float tables (`EnrichedBasis.breaks` and `coeffs`, gathered
-from the system's per-family tables), never the exact polynomials that
+from the system's per-family tables), never the polynomials that
 `basis[i]` builds on access.
 Every `LinearSystem` and `DiscreteSolution` carries its mesh: `assemble`
 keeps the edges, the Gauss weights and C together (`_CellForm`), and

@@ -11,7 +11,7 @@ take from it: the translates of every family at a level
 hold an interface point (`WaveletSystem.touching`, in exact arithmetic).
 
 The module ships one built-in system of approximation order 2 whose dual
-functions are constructed at import time by solving small exact linear
+functions are constructed at first use by solving small exact linear
 systems (minimum-norm splines satisfying the biorthogonality
 constraints), and a text format for supplying external systems, which
 are accepted purely on passing the same verification battery.
@@ -20,8 +20,9 @@ are accepted purely on passing the same verification battery.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -192,19 +193,6 @@ class WaveletSystem:
 # ---------------------------------------------------------------------------
 
 
-def _dof_basis(breaks, deg):
-    """Unit splines spanning all piecewise polynomials of degree <= deg on
-    `breaks`: t^d on cell i and zero elsewhere, each stored as one piece on
-    its own cell, with its (cell, degree)."""
-    out = []
-    for i, cell in enumerate(zip(breaks, breaks[1:])):
-        for d in range(deg + 1):
-            c = [Fraction(0)] * (deg + 1)
-            c[d] = Fraction(1)
-            out.append((PiecewisePolynomial(cell, [tuple(c)]), i, d))
-    return out
-
-
 def _gauss_solve(M, b):
     n = len(M)
     A = [row[:] + [b[i]] for i, row in enumerate(M)]
@@ -222,104 +210,107 @@ def _gauss_solve(M, b):
     return [A[i][n] for i in range(n)]
 
 
-def _build_dual(breaks, deg, constraints):
-    """Minimum-norm spline on `breaks` meeting exact inner-product constraints.
+def _cell_moments(t, grid, deg) -> list:
+    """<t, (x - a)^d on [a, b]> over the cells [a, b] of `grid` and d <= deg,
+    in closed form for a t that is one polynomial on each cell:
+    sum_n c_n h^(n+d+1)/(n+d+1), c its local piece about a and h = b - a."""
+    if any(grid[0] < b < grid[-1] and b not in grid for b in t.breakpoints):
+        raise ValueError("a constraint target breaks inside a cell of the grid")
+    return [sum(c * (b - a) ** (n + d + 1) / (n + d + 1) for n, c in enumerate(t._local_coeffs(a)))
+            for a, b in zip(grid, grid[1:]) for d in range(deg + 1)]
+
+
+def _build_dual(grid, deg, constraints):
+    """Minimum-norm spline on `grid` meeting exact inner-product constraints.
 
     `constraints` is a list of (target PiecewisePolynomial, value); the
-    returned spline g satisfies <target, g> = value for every pair, with
-    the smallest coefficient norm (normal equations solved in exact
+    returned spline g satisfies <target, g> = value for every pair, with the
+    smallest norm of its coefficients of (x - a)^d, d <= deg, on each cell
+    [a, b] (normal equations on the rows `_cell_moments`, solved in exact
     rational arithmetic).
     """
-    basis = _dof_basis(breaks, deg)
-    rows = [[inner_product(t, bf) for bf, _, _ in basis] for t, _ in constraints]
-    rhs = [v for _, v in constraints]
-    nc = len(rows)
-    G = [
-        [sum(rows[i][k] * rows[jj][k] for k in range(len(rows[0]))) for jj in range(nc)]
-        for i in range(nc)
-    ]
-    lam = _gauss_solve(G, rhs)
-    x = [sum(rows[i][k] * lam[i] for i in range(nc)) for k in range(len(rows[0]))]
-    n = len(breaks) - 1
-    pieces = [[Fraction(0)] * (deg + 1) for _ in range(n)]
-    for coef, (_, i, d) in zip(x, basis):
-        pieces[i][d] += coef
-    return PiecewisePolynomial(breaks, [tuple(p) for p in pieces])
+    rows = [_cell_moments(t, grid, deg) for t, _ in constraints]
+    gram = [[sum(map(operator.mul, r, s)) for s in rows] for r in rows]
+    lam = _gauss_solve(gram, [v for _, v in constraints])
+    x = [sum(map(operator.mul, lam, col)) for col in zip(*rows)]
+    return PiecewisePolynomial(grid, [tuple(x[i:i + deg + 1]) for i in range(0, len(x), deg + 1)])
 
 
-def _halfgrid(lo, hi):
-    out = []
-    x = Fraction(lo)
-    while x <= Fraction(hi):
-        out.append(x)
-        x += Fraction(1, 2)
-    return out
+def _meeting(span, members) -> dict:
+    """{(family, component, k): f(. - k)} over the members (family,
+    components, least k, greatest k): the translates whose support
+    interiors meet the open interval span."""
+    lo, hi = span
+
+    def ks(f, first, last):  # lo < hi_f + k and lo_f + k < hi
+        return range(max(first, math.floor(lo - f.support.hi) + 1), min(last + 1, math.ceil(hi - f.support.lo)))
+
+    return {(name, c, k): f.translate(k) for name, fs, first, last in members
+            for c, f in enumerate(fs) for k in ks(f, first, last)}
+
+
+def _spline_system(m, phi, psi, phi_left, psi_left, grids, deg) -> WaveletSystem:
+    """The accepted system of the primal families phi and psi (interior) and
+    phi_left and psi_left (left, at k = 0), each a tuple of components; the
+    right families are the left ones mirrored about 1.
+
+    Every dual is `_build_dual` of degree `deg` on the half-integer grid of
+    grids["phi"], grids["psi"] or, for both left families, grids["left"].
+    Its constraints are the primals of its level whose support interiors
+    meet that grid (`_meeting`): every interior translate on the line for
+    an interior dual, and for a left dual the left members at k = 0 plus
+    the interior translates from their n_l on.  The target is 1 at the
+    dual's own primal, by family, component and k = 0, and 0 at the others.
+    n_l and n_h are the least offsets at which a translate and its dual
+    both lie in [0, 2^j], and J0 the least level at which the left
+    supports [0, hi] and their mirrors are disjoint: 2 max hi <= 2^J0.
+    """
+    def duals(name, fs, members):
+        lo, hi = map(Fraction, grids["left" if name.endswith("_left") else name])
+        grid = [lo + Fraction(i, 2) for i in range(int(2 * (hi - lo)) + 1)]
+        cons = _meeting((lo, hi), members)
+        return tuple(_build_dual(grid, deg, [(t, Fraction(key == (name, c, 0))) for key, t in cons.items()])
+                     for c in range(len(fs)))
+
+    def offsets(fs):
+        return math.ceil(max(-f.support.lo for f in fs)), math.ceil(max(f.support.hi for f in fs))
+
+    def mirror(fs):
+        return tuple(f.reflect(1) for f in fs)
+
+    line = [("phi", phi, -math.inf, math.inf), ("psi", psi, -math.inf, math.inf)]
+    phi_dual, psi_dual = duals("phi", phi, line), duals("psi", psi, line)
+    (n_l_phi, n_h_phi), (n_l_psi, n_h_psi) = offsets(phi + phi_dual), offsets(psi + psi_dual)
+    level = [("phi_left", phi_left, 0, 0), ("psi_left", psi_left, 0, 0),
+             ("phi", phi, n_l_phi, math.inf), ("psi", psi, n_l_psi, math.inf)]
+    phi_left_dual, psi_left_dual = duals("phi_left", phi_left, level), duals("psi_left", psi_left, level)
+    hi = max(f.support.hi for f in phi_left + psi_left + phi_left_dual + psi_left_dual)
+    return _accept(WaveletSystem(
+        m=m, r=len(phi), J0=(math.ceil(2 * hi) - 1).bit_length(),
+        n_l_phi=n_l_phi, n_h_phi=n_h_phi, n_l_psi=n_l_psi, n_h_psi=n_h_psi,
+        phi=phi, psi=psi, phi_dual=phi_dual, psi_dual=psi_dual,
+        phi_left=phi_left, psi_left=psi_left, phi_right=mirror(phi_left), psi_right=mirror(psi_left),
+        phi_left_dual=phi_left_dual, psi_left_dual=psi_left_dual,
+        phi_right_dual=mirror(phi_left_dual), psi_right_dual=mirror(psi_left_dual),
+    ))
 
 
 @lru_cache(maxsize=1)
 def builtin_order2_system() -> WaveletSystem:
     """The built-in order-2 spline system (hat primal, hierarchical wavelet).
 
-    Primal scaling function: the hat on [-1, 1].  Primal wavelet: the
-    half-scale hat on [0, 1] (so each wavelet level exactly fills the gap
-    between consecutive scaling levels).  The dual functions are
-    piecewise-linear splines on half-integer grids determined by
-    same-level biorthogonality; vanishing moments follow from
-    orthogonality to the hat translates, which reproduce linears.
+    Primal scaling function: the hat on [-1, 1], at the left end the hat on
+    [0, 2].  Primal wavelet: the half-scale hat on [0, 1] (so each wavelet
+    level exactly fills the gap between consecutive scaling levels), at the
+    left end too.  The duals are `_spline_system`'s piecewise-linear splines;
+    vanishing moments follow from orthogonality to the hat translates, which
+    reproduce linears.
     """
     one, zero = Fraction(1), Fraction(0)
     phi = PiecewisePolynomial([-1, 0, 1], [(zero, one), (one, -one)])
     psi = PiecewisePolynomial([0, Fraction(1, 2), 1], [(zero, 2 * one), (one, -2 * one)])
-    phi_left = phi.translate(1)  # hat on [0, 2]
-    psi_left = psi
-
-    deg = 1
-    cons = [(phi.translate(k), zero) for k in (-1, 0, 1, 2)]
-    cons += [(psi.translate(k), one if k == 0 else zero) for k in (-1, 0, 1)]
-    psi_dual = _build_dual(_halfgrid(-1, 2), deg, cons)
-
-    cons = [(phi.translate(k), one if k == 0 else zero) for k in (-2, -1, 0, 1, 2)]
-    cons += [(psi.translate(k), zero) for k in (-2, -1, 0, 1)]
-    phi_dual = _build_dual(_halfgrid(-2, 2), deg, cons)
-
-    cons = [
-        (phi_left, zero),
-        (phi.translate(2), zero),
-        (psi_left, one),
-        (psi.translate(1), zero),
-    ]
-    psi_left_dual = _build_dual(_halfgrid(0, 2), deg, cons)
-
-    cons = [
-        (phi_left, one),
-        (phi.translate(2), zero),
-        (psi_left, zero),
-        (psi.translate(1), zero),
-    ]
-    phi_left_dual = _build_dual(_halfgrid(0, 2), deg, cons)
-
-    sys = WaveletSystem(
-        m=2,
-        r=1,
-        J0=2,
-        n_l_phi=2,
-        n_h_phi=2,
-        n_l_psi=1,
-        n_h_psi=2,
-        phi=(phi,),
-        psi=(psi,),
-        phi_dual=(phi_dual,),
-        psi_dual=(psi_dual,),
-        phi_left=(phi_left,),
-        psi_left=(psi_left,),
-        phi_right=(phi_left.reflect(1),),
-        psi_right=(psi_left.reflect(1),),
-        phi_left_dual=(phi_left_dual,),
-        psi_left_dual=(psi_left_dual,),
-        phi_right_dual=(phi_left_dual.reflect(1),),
-        psi_right_dual=(psi_left_dual.reflect(1),),
-    )
-    return _accept(sys)
+    grids = {"phi": (-2, 2), "psi": (-1, 2), "left": (0, 2)}
+    return _spline_system(2, (phi,), (psi,), (phi.translate(1),), (psi,), grids, deg=1)
 
 
 def _accept(sys: WaveletSystem) -> WaveletSystem:
@@ -507,20 +498,8 @@ def dual_antiderivative_ladder(sys: WaveletSystem) -> dict:
 # text format (system definition files)
 # ---------------------------------------------------------------------------
 
-_FAMILY_NAMES = (
-    "phi",
-    "psi",
-    "phi_dual",
-    "psi_dual",
-    "phi_left",
-    "psi_left",
-    "phi_right",
-    "psi_right",
-    "phi_left_dual",
-    "psi_left_dual",
-    "phi_right_dual",
-    "psi_right_dual",
-)
+# the function families in the order of `WaveletSystem`'s fields, which a file keeps
+_FAMILY_NAMES = tuple(f.name for f in fields(WaveletSystem) if f.type == "tuple")
 
 _BREAK_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 _EXACT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
@@ -643,18 +622,9 @@ def load_system(path) -> WaveletSystem:
     if missing:
         raise SystemFormatError(f"missing function families: {', '.join(missing)}")
 
-    nl_phi, nh_phi, nl_psi, nh_psi = header["offsets"]
-    try:
-        sys = WaveletSystem(
-            m=header["m"],
-            r=header["r"],
-            J0=header["J0"],
-            n_l_phi=nl_phi,
-            n_h_phi=nh_phi,
-            n_l_psi=nl_psi,
-            n_h_psi=nh_psi,
-            **{name: tuple(families[name]) for name in _FAMILY_NAMES},
-        )
+    try:  # the offsets are n_l_phi, n_h_phi, n_l_psi and n_h_psi, in field order
+        sys = WaveletSystem(header["m"], header["r"], header["J0"], *header["offsets"],
+                            **{name: tuple(families[name]) for name in _FAMILY_NAMES})
     except ValueError as e:
         raise SystemFormatError(str(e)) from e
     return _accept(sys)

@@ -133,6 +133,12 @@ class TestLevelSets:
                         assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
+def level_counts(basis) -> dict:
+    """The number of functions of each level j."""
+    levels, counts = np.unique(basis.j, return_counts=True)
+    return dict(zip(levels.tolist(), counts.tolist()))
+
+
 class TestTruncatedBasis:
     def test_dimension_formula(self, sys2):
         for J in range(2, 7):
@@ -140,8 +146,15 @@ class TestTruncatedBasis:
 
     def test_level_counts_recorded(self, sys2):
         b = truncated_basis(sys2, 2, 4)
-        assert b.level_counts[2] == (2**2 - 1) + 2**2  # scaling + wavelet level
-        assert b.level_counts[4] == 2**4
+        assert level_counts(b)[2] == (2**2 - 1) + 2**2  # scaling + wavelet level
+        assert level_counts(b)[4] == 2**4
+
+    def test_functions_are_exact_exactly_at_even_levels(self, sys2):
+        # an odd level's 2^(j/2) is the float dyadic_transform rounds
+        b = truncated_basis(sys2, 2, 5)
+        assert sorted(level_counts(b)) == [2, 3, 4, 5]
+        for bf in b:
+            assert bf.primal.is_exact() == (bf.j % 2 == 0), bf
 
     def test_bad_range_rejected(self, sys2):
         with pytest.raises(ValueError):
@@ -278,7 +291,7 @@ class TestEnrichedBasis:
         assert extra == sorted(extra)
         assert min(extra) == J + 1 and max(extra) == top
         want = {j: len(interface_set(sys2, j, GAMMA)) for j in range(J + 1, top + 1)}
-        assert {j: n for j, n in enr.level_counts.items() if j > J} == want
+        assert {j: n for j, n in level_counts(enr).items() if j > J} == want
 
     def test_growth_ratio_tends_to_two(self, sys2):
         ns = [enriched_basis(sys2, 2, J, GAMMA).N for J in range(5, 10)]
@@ -376,7 +389,7 @@ def assert_same_basis(got, want):
     for name in ("family", "component", "j", "k", "breaks", "coeffs"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert got.level_counts == want.level_counts
+    assert level_counts(got) == level_counts(want)
 
 
 class TestNestedLevels:

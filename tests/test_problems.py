@@ -282,10 +282,17 @@ class TestFoldedTrees:
     def test_like_terms_are_collected(self, ex1, monkeypatch):
         # term by term, u'' of x*exp(x) is exp(x) + exp(x) + x*exp(x)
         f = ex1.f_minus
-        assert f.text == "-(2.0*exp(x) + x*exp(x))"
+        assert f.text == "-2.0*exp(x) - x*exp(x)"
         assert parse_expression(f.text).tree == f.tree
         assert parse_expression("sin(x) + 2*sin(x)").text == "3.0*sin(x)"
         assert parse_expression("exp(x) - exp(x) + x").text == "x"
+        # a scaled sum is distributed, so like terms collect across it
+        for text, want in (("exp(x) - (exp(x) + x*exp(x))", Mul(Const(-1.0), Mul(X, Call("exp", X)))),
+                           ("2*(exp(x)+x) - exp(x)", Sum((Call("exp", X),), Poly((0.0, 2.0))))):
+            e = parse_expression(text)
+            assert e.tree == want, e.text
+            assert parse_expression(e.text).tree == e.tree
+        assert parse_expression("2*(exp(x)+x) - exp(x)").text == "exp(x) + 2.0*x"
         e = Call("exp", X)
         unfolded = Mul(Const(-1.0), Sum((e, e, Mul(X, e)), Const(0.0)))
         x = np.linspace(0.0, 1.0, 1001)

@@ -1,11 +1,15 @@
 """Unit tests for the wavelet system: construction, verification, file format."""
 
 import dataclasses
+import math
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavegal.piecewise import PiecewisePolynomial, inner_product
+from wavegal.piecewise import Interval, PiecewisePolynomial, inner_product
 from wavegal.wavelets import (
     SystemFormatError,
     SystemVerificationError,
@@ -15,7 +19,11 @@ from wavegal.wavelets import (
     load_system,
     save_system,
     _FAMILY_NAMES,
+    _cell_moments,
+    _meeting,
 )
+
+BUILTIN_FILE = pathlib.Path(__file__).parent / "data" / "builtin_order2.sys"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,66 @@ class TestBuiltinSystem:
         # battery pairs the primal's and the dual's into the exact 2^J0
         report = full_verification(dataclasses.replace(sys2, J0=J0))
         assert all(r == 0.0 for r in report.checks.values()), report.checks
+
+
+class TestDualRule:
+    """Every dual is the minimum-norm spline biorthogonal to the primals of
+    its level that meet its grid, with rows in closed form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.lists(st.integers(-24, 24), min_size=2, max_size=6, unique=True).map(
+            lambda ns: [Fraction(n, 4) for n in sorted(ns)]),
+        deg=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_closed_form_rows_equal_inner_products(self, grid, deg, data):
+        # a random dyadic target breaking only at grid points or past the grid's
+        # ends; the reference pairs it with each unit monomial (x - a)^d of a cell
+        past = [grid[0] - 1, grid[0] - Fraction(1, 8), grid[-1] + Fraction(1, 2), grid[-1] + 3]
+        breaks = sorted(set(data.draw(st.lists(st.sampled_from(grid + past), min_size=2, unique=True))))
+        coeff = st.fractions(-4, 4, max_denominator=8)
+        pieces = [data.draw(st.lists(coeff, min_size=1, max_size=4)) for _ in breaks[1:]]
+        t = PiecewisePolynomial(breaks, pieces)
+        want = [inner_product(t, PiecewisePolynomial([a, b], [[Fraction(n == d) for n in range(deg + 1)]]))
+                for a, b in zip(grid, grid[1:]) for d in range(deg + 1)]
+        assert _cell_moments(t, grid, deg) == want
+
+    def test_target_breaking_inside_a_cell_is_refused(self):
+        hat = PiecewisePolynomial([0, Fraction(1, 4), 1], [(0, 4), (1, Fraction(-4, 3))])
+        with pytest.raises(ValueError, match="inside a cell"):
+            _cell_moments(hat, [Fraction(0), Fraction(1, 2), Fraction(1)], 1)
+
+    @pytest.mark.parametrize("name, kind, side", [("phi", "scaling", "interior"), ("psi", "wavelet", "interior"),
+                                                  ("phi_left", "scaling", "left"), ("psi_left", "wavelet", "left")])
+    def test_constraints_are_the_primals_each_dual_meets(self, sys2, name, kind, side):
+        # the oracle enumerates a level's layout: every primal whose support
+        # interior meets the dual's, the dual placed at k0 (mid-level for an
+        # interior one), keyed by family, component and k - k0
+        def oracle(j, dual, k0):
+            span, out = Interval(dual.support.lo + k0, dual.support.hi + k0), {}
+            for pkind in ("scaling", "wavelet"):
+                for pside, comp, ks in sys2.translates(pkind, j):
+                    f = sys2.family(pkind, pside)[comp]
+                    key = {"scaling": "phi", "wavelet": "psi"}[pkind] + ("" if pside == "interior" else f"_{pside}")
+                    out.update({(key, comp, k - k0): f.translate(k - k0) for k in ks
+                                if Interval(f.support.lo + k, f.support.hi + k).intersects(span)})
+            return out
+
+        line = [("phi", sys2.phi, -math.inf, math.inf), ("psi", sys2.psi, -math.inf, math.inf)]
+        level = [("phi_left", sys2.phi_left, 0, 0), ("psi_left", sys2.psi_left, 0, 0),
+                 ("phi", sys2.phi, sys2.n_l_phi, math.inf), ("psi", sys2.psi, sys2.n_l_psi, math.inf)]
+        layouts = [(j, 0) for j in (sys2.J0, sys2.J0 + 3)] if side == "left" else [(6, 32)]
+        for comp, dual in enumerate(sys2.family(kind, side, dual=True)):
+            derived = _meeting((dual.support.lo, dual.support.hi), level if side == "left" else line)
+            for j, k0 in layouts:
+                targets = oracle(j, dual, k0)
+                assert derived.keys() == targets.keys(), (j, k0)
+                for key, f in targets.items():
+                    assert inner_product(f, dual) == (1 if key == (name, comp, 0) else 0), key
+
+    def test_offsets_and_coarsest_level_read_off_the_supports(self, sys2):
+        assert (sys2.n_l_phi, sys2.n_h_phi, sys2.n_l_psi, sys2.n_h_psi, sys2.J0) == (2, 2, 1, 2, 2)
 
 
 class TestPerturbationSensitivity:
@@ -181,6 +249,14 @@ class TestFileFormat:
                 assert (f.breakpoints, f.pieces) == (g.breakpoints, g.pieces), name
                 assert f.is_exact(), name
         assert all(r == 0.0 for r in loaded.verification.checks.values()), loaded.verification.checks
+
+    def test_builtin_saves_to_the_committed_file(self, sys2, tmp_path):
+        save_system(sys2, tmp_path / "sys.txt")
+        assert (tmp_path / "sys.txt").read_bytes() == BUILTIN_FILE.read_bytes()
+
+    def test_committed_file_loads_exactly(self):
+        checks = load_system(BUILTIN_FILE).verification.checks
+        assert len(checks) == 7 and all(r == 0.0 for r in checks.values()), checks
 
     def test_bad_coefficient_token(self, sys2, tmp_path):
         src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
