@@ -1,12 +1,14 @@
-"""Error measurement, convergence orders, and coefficient-decay diagnostics.
+"""Evaluation and error measurement of discrete solutions, convergence
+orders, and coefficient-decay diagnostics.
 
 Errors are integrated with the Gauss rule of the Galerkin assembly, on
 the mesh and synthesis matrix C that every solution carries from its
 system: the graded mesh of all basis breakpoints plus gamma (see
 `galerkin._graded_mesh`), so the quadrature resolves every enrichment
 level and never straddles the derivative jump.  The discrete solution is
-evaluated from its per-cell polynomials, the coefficients C c
-(`galerkin._cell_values`), and the exact one from the problem's
+evaluated from its per-cell polynomials, the coefficients C c, by the
+form it carries (`_CellForm.values`; `evaluate_solution` reads them at
+any point), and the exact one from the problem's
 `ExactSolution.values`, u and u' together, or taken as given at the
 mesh's Gauss nodes: a sweep whose levels share one mesh evaluates u and
 u' on it once and hands the pair to every level.
@@ -26,6 +28,10 @@ the interface set, the k range `WaveletSystem.touching` decides exactly.
 The pass streams a few thousand blocks at a time into the count, sum of
 squares and maximum the diagnostics need, so its memory does not grow
 with the level.
+
+This module imports nothing from `galerkin`: the solutions it measures
+bring their form with them, and the diagnostics need only numpy, so
+neither loads scipy.
 """
 
 from __future__ import annotations
@@ -33,24 +39,23 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .galerkin import (
-    DiscreteSolution,
-    InterfaceProblem,
-    _cell_values,
-    evaluate_solution,  # noqa: F401  (looked up here by perfbench's traced run)
-)
 from .piecewise import PiecewisePolynomial, gauss_rule
+from .problems import InterfaceProblem
 from .wavelets import WaveletSystem
+
+if TYPE_CHECKING:  # an annotation only: importing the solver loads scipy
+    from .galerkin import DiscreteSolution
 
 __all__ = [
     "ErrorPair",
     "ConvergenceRecord",
     "DecayProbe",
     "error_norms",
+    "evaluate_solution",
     "convergence_orders",
     "coefficient_decay_probe",
     "tail_energy",
@@ -128,11 +133,38 @@ def error_norms(sol: DiscreteSolution, reference) -> ErrorPair:
         ur, dur = reference
         if np.shape(ur) != form.w.shape or np.shape(dur) != form.w.shape:
             raise ValueError("reference values must be given at the Gauss nodes of the solution's own mesh")
-    uj, duj = _cell_values(form.C, form.edges, form.scatter(sol.coefficients))
+    uj, duj = form.values(sol.coefficients)
     w = form.w.ravel()
     e_l2 = math.sqrt(float(np.dot(w, ((uj - ur) ** 2).ravel())))
     e_h1 = math.sqrt(float(np.dot(w, ((duj - dur) ** 2).ravel())))
     return ErrorPair(e_l2, e_h1)
+
+
+def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise values and derivative values of u_J = sum c_i eta_i.
+
+    Reads the per-cell coefficients C c on the graded mesh of `sol.form`,
+    as error measurement does.
+    A point on a mesh edge reads the cell to its left, except x = 0,
+    which reads the first cell: u_J is continuous, so only the derivative
+    depends on this, and there it is the left limit (the right limit at 0).
+    """
+    x = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot evaluate at non-finite points")
+    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        raise ValueError("evaluation grid must lie in [0, 1]")
+    edges = sol.form.edges
+    U = sol.form.per_cell(sol.coefficients)
+    cell = np.clip(np.searchsorted(edges, x) - 1, 0, len(edges) - 2)
+    h = edges[cell + 1] - edges[cell]
+    t = (x - edges[cell]) / h
+    c = U[cell]
+    val, der = c[..., -1], np.zeros_like(t)
+    for n in range(U.shape[1] - 2, -1, -1):
+        der = der * t + val
+        val = val * t + c[..., n]
+    return val, der / h
 
 
 def convergence_orders(records: list) -> list:

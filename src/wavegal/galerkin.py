@@ -14,10 +14,10 @@ n < p = coeffs.shape[2].  From C come
   monomials;
 - the load vector, C^T times each cell's moments of f t^n, less g_gamma
   times C's t^0 row on the cell right of gamma;
-- the values of discrete solutions, from the per-cell coefficients
-  C c: at the Gauss nodes for error measurement, and at any point for
-  `evaluate_solution`, which reads a point on a mesh edge from the cell
-  to its left (from the first cell at x = 0).
+- the per-cell coefficients C c of a discrete solution
+  (`_CellForm.per_cell`), and its values and derivatives at the Gauss
+  nodes (`_CellForm.values`), which `analysis.error_norms` and
+  `analysis.evaluate_solution` read.
 a and f are read at a QUAD_NODES-point Gauss rule per cell, exact for
 the polynomial part.  Summing A over cells, not over Gauss nodes, keeps
 its entries within 5e-15 sqrt(A_ii A_jj) of a long-double sum of the
@@ -28,9 +28,12 @@ from the system's per-family tables), never the polynomials that
 Every `LinearSystem` and `DiscreteSolution` carries its mesh: `assemble`
 keeps the edges, the Gauss weights and C together (`_CellForm`), and
 `solve` hands them on, so errors are measured on the mesh and C the
-system was assembled from.  The Gauss nodes are rebuilt from the edges
-when asked for (`_CellForm.nodes`), bit for bit the ones a and f were
-read at.
+system was assembled from.  The problem types (`InterfaceProblem`,
+`ExactSolution`) live in `problems`, and evaluation and error
+measurement in `analysis`: only this module and `cli` import scipy, so
+building a problem or running the decay diagnostics loads none.  The
+Gauss nodes are rebuilt from the edges when asked for
+(`_CellForm.nodes`), bit for bit the ones a and f were read at.
 
 The enriched spaces are nested, so the system of a coarser level J is
 the principal sub-system of a deeper one on the rows of its basis
@@ -79,7 +82,7 @@ the entries of the block's lower triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -88,10 +91,9 @@ import scipy.sparse.linalg
 from .basis import EnrichedBasis
 from .expressions import Expression
 from .piecewise import gauss_rule
+from .problems import InterfaceProblem
 
 __all__ = [
-    "InterfaceProblem",
-    "ExactSolution",
     "LinearSystem",
     "DiscreteSolution",
     "SolverError",
@@ -101,7 +103,6 @@ __all__ = [
     "subsystem",
     "solve",
     "condition_number",
-    "evaluate_solution",
     "export_matrix_market",
 ]
 
@@ -121,77 +122,6 @@ KAPPA_DENSE_ROWS = 180
 
 class SolverError(RuntimeError):
     """Raised when a matrix is not SPD or an eigenvalue estimate fails."""
-
-
-@dataclass(frozen=True)
-class ExactSolution:
-    """Closed forms for u and u' on the two subdomains."""
-
-    u_minus: Callable
-    u_plus: Callable
-    du_minus: Callable
-    du_plus: Callable
-
-    def values(self, gamma: float, x) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u') at x, each side's closed forms on its side of gamma."""
-        return (_piecewise_call(self.u_minus, self.u_plus, gamma, x),
-                _piecewise_call(self.du_minus, self.du_plus, gamma, x))
-
-
-def _piecewise_call(fm: Callable, fp: Callable, gamma: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate fm on x < gamma and fp on x >= gamma without mixing domains."""
-    x = np.asarray(x, dtype=float)
-    neg = x < gamma
-    n = np.count_nonzero(neg)
-    if n in (0, x.size):  # one side only: call it on x itself, no masked copies
-        out = np.asarray((fm if n else fp)(x), dtype=float)
-        return out if out.shape == x.shape else np.full(x.shape, out)
-    out = np.empty_like(x)
-    out[neg] = fm(x[neg])
-    out[~neg] = fp(x[~neg])
-    return out
-
-
-@dataclass(frozen=True)
-class InterfaceProblem:
-    """Data of -(a u')' = f - g_gamma * delta_gamma on (0,1), u(0)=u(1)=0."""
-
-    gamma: float
-    a_minus: Callable
-    a_plus: Callable
-    f_minus: Callable
-    f_plus: Callable
-    g_gamma: float = 0.0
-    exact: ExactSolution | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"interface point {self.gamma} must lie in (0, 1)")
-        # positivity spot check on a dense grid per subdomain
-        xm = np.linspace(0.0, self.gamma, 513)[:-1]
-        xp = np.linspace(self.gamma, 1.0, 513)[1:]
-        am = np.asarray(self.a_minus(xm), dtype=float)
-        ap = np.asarray(self.a_plus(xp), dtype=float)
-        lo = min(am.min() if am.ndim else float(am), ap.min() if ap.ndim else float(ap))
-        if not lo > 0.0:
-            raise ValueError(f"diffusion coefficient not positive (min sample {lo})")
-
-    def a(self, x):
-        return _piecewise_call(self.a_minus, self.a_plus, self.gamma, x)
-
-    def f(self, x):
-        return _piecewise_call(self.f_minus, self.f_plus, self.gamma, x)
-
-    def u(self, x):
-        if self.exact is None:
-            raise ValueError("problem has no exact solution")
-        return _piecewise_call(self.exact.u_minus, self.exact.u_plus, self.gamma, x)
-
-    def du(self, x):
-        if self.exact is None:
-            raise ValueError("problem has no exact solution")
-        return _piecewise_call(self.exact.du_minus, self.exact.du_plus, self.gamma, x)
 
 
 class _CellForm(NamedTuple):
@@ -217,6 +147,19 @@ class _CellForm(NamedTuple):
         out = np.zeros(self.C.shape[1])
         out[self.cols] = coefficients
         return out
+
+    def per_cell(self, coefficients) -> np.ndarray:
+        """The per-cell coefficients C c of sum_i coefficients[i] eta_i
+        (cells x p), c being the coefficients scattered into C's columns."""
+        return (self.C @ self.scatter(coefficients)).reshape(len(self.edges) - 1, -1)
+
+    def values(self, coefficients) -> tuple[np.ndarray, np.ndarray]:
+        """Values and derivatives of sum_i coefficients[i] eta_i at the Gauss
+        nodes of every cell (cells x QUAD_NODES each), from `per_cell`."""
+        U = self.per_cell(coefficients)
+        p = U.shape[1]
+        T = _cell_powers(p)
+        return U @ T.T, (U[:, 1:] * np.arange(1, p)) @ T[:, : p - 1].T / np.diff(self.edges)[:, None]
 
 
 @dataclass
@@ -303,17 +246,6 @@ def _cell_powers(p):
     (QUAD_NODES x p)."""
     t, _ = gauss_rule(QUAD_NODES)
     return t[:, None] ** np.arange(p)
-
-
-def _cell_values(C, edges, coefficients):
-    """Values and derivatives of sum_i coefficients[i] eta_i at the Gauss
-    nodes of every cell of `edges` (cells x QUAD_NODES each), from the
-    per-cell coefficients C c of the synthesis matrix C on those cells."""
-    h = np.diff(edges)
-    U = (C @ coefficients).reshape(len(h), -1)
-    p = U.shape[1]
-    T = _cell_powers(p)
-    return U @ T.T, (U[:, 1:] * np.arange(1, p)) @ T[:, : p - 1].T / h[:, None]
 
 
 def _is_constant(a) -> bool:
@@ -572,33 +504,6 @@ def _lanczos_extremes(split: _Split) -> tuple[float, float]:
     except Exception as e:  # scipy raises several unrelated types here
         raise SolverError(f"eigenvalue estimation failed: {e}") from e
     return lmin, lmax
-
-
-def evaluate_solution(sol: DiscreteSolution, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise values and derivative values of u_J = sum c_i eta_i.
-
-    Reads the per-cell coefficients C c on the graded mesh of `sol.form`,
-    as error measurement does.
-    A point on a mesh edge reads the cell to its left, except x = 0,
-    which reads the first cell: u_J is continuous, so only the derivative
-    depends on this, and there it is the left limit (the right limit at 0).
-    """
-    x = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot evaluate at non-finite points")
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        raise ValueError("evaluation grid must lie in [0, 1]")
-    edges = sol.form.edges
-    U = (sol.form.C @ sol.form.scatter(sol.coefficients)).reshape(len(edges) - 1, -1)
-    cell = np.clip(np.searchsorted(edges, x) - 1, 0, len(edges) - 2)
-    h = edges[cell + 1] - edges[cell]
-    t = (x - edges[cell]) / h
-    c = U[cell]
-    val, der = c[..., -1], np.zeros_like(t)
-    for n in range(U.shape[1] - 2, -1, -1):
-        der = der * t + val
-        val = val * t + c[..., n]
-    return val, der / h
 
 
 def export_matrix_market(obj, path) -> None:

@@ -1,5 +1,9 @@
-"""Built-in interface problems and construction from expression specs.
+"""Interface problems: their types, the built-in ones, and construction
+from expression specs.
 
+An `InterfaceProblem` holds gamma, a, f and g on the two sides of gamma,
+and optionally an `ExactSolution`, the closed forms of u and u' per side;
+each callable is read only on its own side (`_piecewise_call`).
 Three ready-made problems are provided:
 
 - ``ex1``: huge constant jump (a+ = 1e5) at gamma = pi/6, smooth exact
@@ -32,13 +36,85 @@ one searchsorted and one Clenshaw pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .expressions import Expression, ExpressionError, parse_expression
-from .galerkin import ExactSolution, InterfaceProblem
 
-__all__ = ["BUILTIN_PROBLEMS", "builtin_problem", "problem_from_spec"]
+__all__ = ["InterfaceProblem", "ExactSolution", "BUILTIN_PROBLEMS", "builtin_problem", "problem_from_spec"]
+
+
+@dataclass(frozen=True)
+class ExactSolution:
+    """Closed forms for u and u' on the two subdomains."""
+
+    u_minus: Callable
+    u_plus: Callable
+    du_minus: Callable
+    du_plus: Callable
+
+    def values(self, gamma: float, x) -> tuple[np.ndarray, np.ndarray]:
+        """(u, u') at x, each side's closed forms on its side of gamma."""
+        return (_piecewise_call(self.u_minus, self.u_plus, gamma, x),
+                _piecewise_call(self.du_minus, self.du_plus, gamma, x))
+
+
+def _piecewise_call(fm: Callable, fp: Callable, gamma: float, x: np.ndarray) -> np.ndarray:
+    """Evaluate fm on x < gamma and fp on x >= gamma without mixing domains."""
+    x = np.asarray(x, dtype=float)
+    neg = x < gamma
+    n = np.count_nonzero(neg)
+    if n in (0, x.size):  # one side only: call it on x itself, no masked copies
+        out = np.asarray((fm if n else fp)(x), dtype=float)
+        return out if out.shape == x.shape else np.full(x.shape, out)
+    out = np.empty_like(x)
+    out[neg] = fm(x[neg])
+    out[~neg] = fp(x[~neg])
+    return out
+
+
+@dataclass(frozen=True)
+class InterfaceProblem:
+    """Data of -(a u')' = f - g_gamma * delta_gamma on (0,1), u(0)=u(1)=0."""
+
+    gamma: float
+    a_minus: Callable
+    a_plus: Callable
+    f_minus: Callable
+    f_plus: Callable
+    g_gamma: float = 0.0
+    exact: ExactSolution | None = None
+    name: str = ""
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"interface point {self.gamma} must lie in (0, 1)")
+        # positivity spot check on a dense grid per subdomain
+        xm = np.linspace(0.0, self.gamma, 513)[:-1]
+        xp = np.linspace(self.gamma, 1.0, 513)[1:]
+        am = np.asarray(self.a_minus(xm), dtype=float)
+        ap = np.asarray(self.a_plus(xp), dtype=float)
+        lo = min(am.min() if am.ndim else float(am), ap.min() if ap.ndim else float(ap))
+        if not lo > 0.0:
+            raise ValueError(f"diffusion coefficient not positive (min sample {lo})")
+
+    def a(self, x):
+        return _piecewise_call(self.a_minus, self.a_plus, self.gamma, x)
+
+    def f(self, x):
+        return _piecewise_call(self.f_minus, self.f_plus, self.gamma, x)
+
+    def u(self, x):
+        if self.exact is None:
+            raise ValueError("problem has no exact solution")
+        return _piecewise_call(self.exact.u_minus, self.exact.u_plus, self.gamma, x)
+
+    def du(self, x):
+        if self.exact is None:
+            raise ValueError("problem has no exact solution")
+        return _piecewise_call(self.exact.du_minus, self.exact.du_plus, self.gamma, x)
+
 
 # quintic coefficients of ex1's right-hand solution, in the constants
 # G (interface point) and A (right coefficient value)

@@ -22,8 +22,8 @@ from wavegal.analysis import (
 )
 from wavegal.basis import enriched_basis, truncated_basis
 from wavegal.cli import ExperimentConfig, run
-from wavegal.galerkin import ExactSolution, InterfaceProblem, assemble, condition_number, solve
-from wavegal.problems import builtin_problem
+from wavegal.galerkin import assemble, condition_number, solve
+from wavegal.problems import ExactSolution, InterfaceProblem, builtin_problem
 from wavegal.wavelets import builtin_order2_system, full_verification
 
 

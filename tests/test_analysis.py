@@ -24,9 +24,9 @@ from wavegal.analysis import (
     write_records_csv,
 )
 from wavegal.basis import enriched_basis, truncated_basis
-from wavegal.galerkin import DiscreteSolution, ExactSolution, InterfaceProblem, assemble, solve
+from wavegal.galerkin import DiscreteSolution, assemble, solve
 from wavegal.piecewise import PiecewisePolynomial, gauss_rule, inner_product
-from wavegal.problems import builtin_problem
+from wavegal.problems import ExactSolution, InterfaceProblem, builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
 

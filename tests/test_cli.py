@@ -21,7 +21,8 @@ from wavegal.cli import (
     main,
     run,
 )
-from wavegal.galerkin import ExactSolution, SolverError
+from wavegal.galerkin import SolverError
+from wavegal.problems import ExactSolution
 
 from test_problems import ex3_closed_form
 
@@ -326,7 +327,6 @@ class TestRun:
     def test_one_assembly_per_sweep(self, monkeypatch):
         # the basis, the assembly and the exact u and u' once per sweep; the
         # solve, kappa and errors once per level, by their names in cli
-        import wavegal.galerkin as galerkin
         import wavegal.problems as problems
 
         calls = dict.fromkeys(("enriched_basis", "truncated_basis", "assemble", "solve",
@@ -341,7 +341,7 @@ class TestRun:
         for name in calls:
             if name != "values":
                 monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-        for kind in (galerkin.ExactSolution, problems._FluxSolution):  # closed form, flux table
+        for kind in (problems.ExactSolution, problems._FluxSolution):  # closed form, flux table
             monkeypatch.setattr(kind, "values", counting("values", kind.values))
         for problem in ("ex1", "ex3"):
             for mode in ("enriched", "fem"):
@@ -356,7 +356,6 @@ class TestRun:
         # the exact u and u' are evaluated once the first level's factor is
         # freed, so a single-level sweep holds no more than one assembled
         # level did
-        import wavegal.galerkin as galerkin
         import wavegal.problems as problems
 
         events, systems = [], []
@@ -379,7 +378,7 @@ class TestRun:
 
         monkeypatch.setattr(cli, "solve", keeping_solve)
         monkeypatch.setattr(cli, "error_norms", errors)
-        for kind in (galerkin.ExactSolution, problems._FluxSolution):  # closed form, flux table
+        for kind in (problems.ExactSolution, problems._FluxSolution):  # closed form, flux table
             monkeypatch.setattr(kind, "values", watched(kind.values))
         for problem in ("ex1", "ex3"):
             for mode in ("enriched", "fem"):

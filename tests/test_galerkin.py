@@ -13,19 +13,15 @@ from hypothesis import strategies as st
 
 import wavegal.galerkin as galerkin
 from wavegal.basis import EnrichedBasis, _rows, enriched_basis, truncated_basis
-from wavegal.analysis import error_norms
+from wavegal.analysis import error_norms, evaluate_solution
 from wavegal.expressions import parse_expression
 from wavegal.galerkin import (
     DiscreteSolution,
-    ExactSolution,
-    InterfaceProblem,
     LinearSystem,
     SolverError,
     KAPPA_DENSE_ROWS,
-    _cell_values,
     _factor_solve,
     _graded_mesh,
-    _piecewise_call,
     _spd_factor,
     _stiffness_product,
     _structural_zeros,
@@ -34,13 +30,12 @@ from wavegal.galerkin import (
     assemble_load,
     assemble_stiffness,
     condition_number,
-    evaluate_solution,
     export_matrix_market,
     solve,
     subsystem,
 )
 from wavegal.piecewise import PiecewisePolynomial, inner_product
-from wavegal.problems import builtin_problem
+from wavegal.problems import ExactSolution, InterfaceProblem, _piecewise_call, builtin_problem
 from wavegal.wavelets import builtin_order2_system
 
 
@@ -832,7 +827,7 @@ class TestEvaluateSolution:
         p = builtin_problem("ex2")
         sol = solve(assemble(enriched_basis(sys2, 2, 8, p.gamma), p))
         v, d = evaluate_solution(sol, sol.form.nodes().ravel())
-        cv, cd = (m.ravel() for m in _cell_values(sol.form.C, sol.form.edges, sol.coefficients))
+        cv, cd = (m.ravel() for m in sol.form.values(sol.coefficients))
         assert np.all(np.abs(v - cv) <= 1e-15 * np.abs(cv).max())
         assert np.all(np.abs(d - cd) <= 1e-15 * np.abs(cd).max())
 
