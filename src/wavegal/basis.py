@@ -22,14 +22,13 @@ takes each coarser level as a row selection of it (`EnrichedBasis.level`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .piecewise import Interval, PiecewisePolynomial
+from .piecewise import Interval, PiecewisePolynomial, dyadic_amplitude
 from .wavelets import FAMILIES, WaveletSystem
 
 __all__ = [
@@ -105,7 +104,7 @@ class EnrichedBasis:
         first, breaks, coeffs = self.sys.float_tables
         row, j = first[self.family] + self.component, self.j[:, None]
         levels, at = np.unique(self.j, return_inverse=True)
-        amp = np.array([math.sqrt(2.0) ** v if v % 2 else 2.0 ** (v // 2) for v in levels.tolist()])
+        amp = np.array([float(dyadic_amplitude(v)) for v in levels.tolist()])
         n = np.arange(coeffs.shape[2])
         object.__setattr__(self, "breaks", np.ldexp(breaks[row] + self.k[:, None], -j))
         object.__setattr__(self, "coeffs", np.ldexp(coeffs[row] * amp[at, None, None], (j * (n - 1))[:, None]))

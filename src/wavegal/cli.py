@@ -120,7 +120,10 @@ def load_config(path: str) -> ExperimentConfig:
 def _get_system(source: str):
     if source == "builtin":
         return builtin_order2_system()
-    return load_system(source)
+    try:
+        return load_system(source)
+    except OSError as e:
+        raise ConfigError(f"cannot read system file {source!r}: {e}") from e
 
 
 def _get_problem(cfg: ExperimentConfig):
@@ -150,6 +153,12 @@ def run(cfg: ExperimentConfig, log=None) -> list:
         raise ConfigError(f"jmax={cfg.jmax} needs enrichment level {top} for m={sysdef.m}, "
                           f"past the desk-scale guard {2 * MAX_LEVEL - 1}")
 
+    if cfg.out:  # before the sweep, so an output path that cannot be a directory costs nothing
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot use output directory {cfg.out!r}: {e}") from e
+
     if cfg.mode == "enriched":
         basis = enriched_basis(sysdef, sysdef.J0, cfg.jmax, problem.gamma)
     else:
@@ -175,7 +184,6 @@ def run(cfg: ExperimentConfig, log=None) -> list:
     convergence_orders(records)
 
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         stem = f"{problem.name or 'problem'}_{cfg.mode}"
         write_records_csv(records, os.path.join(cfg.out, f"{stem}.csv"))
         for norm in ("L2", "H1"):

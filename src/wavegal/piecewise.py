@@ -89,6 +89,17 @@ def _poly_shift(coeffs: Sequence, d):
     return out
 
 
+def _integrate(coeffs: Sequence, h, d: int = 0):
+    """Integral over [0, h] of t^d sum_n c_n t^n: sum_n c_n h^(n+d+1)/(n+d+1)."""
+    return sum(c * h ** (n + d + 1) / (n + d + 1) for n, c in enumerate(coeffs))
+
+
+def dyadic_amplitude(j: int):
+    """2^(j/2), the L2 normalisation of level j: exact at an even j, the
+    float sqrt(2)**j at an odd one."""
+    return math.sqrt(2.0) ** j if j % 2 else Fraction(2) ** (j // 2)
+
+
 def _poly_eval(coeffs: Sequence, t):
     v = 0
     for c in reversed(coeffs):
@@ -203,11 +214,8 @@ class PiecewisePolynomial:
         return PiecewisePolynomial(self.breakpoints, new)
 
     def _piece_integrals(self) -> list:
-        vals = []
-        for (a, b), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            h = b - a
-            vals.append(sum(c * h ** (n + 1) / (n + 1) for n, c in enumerate(p)))
-        return vals
+        bps = self.breakpoints
+        return [_integrate(p, b - a) for a, b, p in zip(bps, bps[1:], self.pieces)]
 
     def integral(self):
         """Total integral over the real line."""
@@ -246,17 +254,10 @@ class PiecewisePolynomial:
         """Exact integral of (x - center)^degree * self."""
         if degree < 0:
             raise ValueError("moment degree must be >= 0")
-        total = 0
-        for (a, b), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            # (x - center)^degree about the piece's left endpoint
-            base = [
-                math.comb(degree, k) * (a - center) ** (degree - k)
-                for k in range(degree + 1)
-            ]
-            prod = _poly_mul(base, p)
-            h = b - a
-            total += sum(c * h ** (n + 1) / (n + 1) for n, c in enumerate(prod))
-        return total
+        bps, unit = self.breakpoints, [0] * degree + [1]
+        # (x - center)^degree about each piece's left endpoint a
+        return sum(_integrate(_poly_mul(_poly_shift(unit, a - center), p), b - a)
+                   for a, b, p in zip(bps, bps[1:], self.pieces))
 
     # -- transforms -----------------------------------------------------
 
@@ -267,24 +268,11 @@ class PiecewisePolynomial:
 
     def reflect(self, center) -> "PiecewisePolynomial":
         """The mirror image x -> self(center - x), for a dyadic center."""
-        c = _as_dyadic(center)
-        breaks = [c - b for b in reversed(self.breakpoints)]
-        pieces = []
-        for (a, b), p in zip(
-            reversed(list(zip(self.breakpoints, self.breakpoints[1:]))),
-            reversed(self.pieces),
-        ):
-            h = b - a
-            n = len(p)
-            # value on new piece at local coord s equals old poly at h - s
-            new = [0] * n
-            for k in range(n):
-                s = 0
-                for j in range(k, n):
-                    s += p[j] * math.comb(j, k) * h ** (j - k) * (-1) ** k
-                new[k] = s
-            pieces.append(tuple(new))
-        return PiecewisePolynomial(breaks, pieces)
+        c, bps = _as_dyadic(center), self.breakpoints
+        # the new piece at local s is the old one at h - s: shifted by h, then s -> -s
+        pieces = [tuple((-1) ** k * v for k, v in enumerate(_poly_shift(p, b - a)))
+                  for a, b, p in zip(bps, bps[1:], self.pieces)]
+        return PiecewisePolynomial([c - b for b in reversed(bps)], pieces[::-1])
 
     def scale(self, c) -> "PiecewisePolynomial":
         return PiecewisePolynomial(
@@ -317,18 +305,15 @@ class PiecewisePolynomial:
             return (0,)
         return tuple(_poly_shift(self.pieces[i], a - bps[i]))
 
+    def dilate(self, j: int, k) -> "PiecewisePolynomial":
+        """x -> self(2^j x - k), exactly, for an integer j and a dyadic k."""
+        two_j = Fraction(2) ** j
+        return PiecewisePolynomial([(b + k) / two_j for b in self.breakpoints],
+                                   [tuple(c * two_j**n for n, c in enumerate(p)) for p in self.pieces])
+
     def dyadic_transform(self, j: int, k: int) -> "PiecewisePolynomial":
         """2^(j/2) * self(2^j . - k), the L2-normalized dyadic transform."""
-        two_j = Fraction(2) ** j if j >= 0 else Fraction(1, 2 ** (-j))
-        breaks = [(b + k) / two_j for b in self.breakpoints]
-        if j % 2 == 0:
-            amp = Fraction(2) ** (j // 2) if j >= 0 else Fraction(1, 2 ** (-j // 2))
-        else:
-            amp = math.sqrt(2.0) ** j
-        pieces = [
-            tuple(amp * c * two_j**n for n, c in enumerate(p)) for p in self.pieces
-        ]
-        return PiecewisePolynomial(breaks, pieces)
+        return self.dilate(j, k).scale(dyadic_amplitude(j))
 
     def __repr__(self) -> str:
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
@@ -367,6 +352,5 @@ def inner_product(
         prod = _poly_mul(p._local_coeffs(a), q._local_coeffs(a))
         if weight is not None:
             prod = _poly_mul(prod, weight._local_coeffs(a))
-        h = b - a
-        total += sum(c * h ** (n + 1) / (n + 1) for n, c in enumerate(prod))
+        total += _integrate(prod, b - a)
     return total

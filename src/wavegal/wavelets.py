@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .piecewise import PiecewisePolynomial, inner_product
+from .piecewise import PiecewisePolynomial, _integrate, inner_product
 
 __all__ = [
     "WaveletSystem",
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 VERIFICATION_TOL = 1e-10
+# the deepest coarsest level a system may have: the battery's cross-Gram of
+# level J0 is exact and quadratic in 2^J0 (2.4 s at J0 = 8, 18 s at J0 = 10)
+MAX_J0 = 10
 
 # the primal families, in the order of their rows in `WaveletSystem.float_tables`
 FAMILIES = tuple((kind, side) for kind in ("scaling", "wavelet") for side in ("left", "interior", "right"))
@@ -114,9 +117,16 @@ class WaveletSystem:
             raise ValueError("approximation order m must be >= 2")
         if self.r < 1:
             raise ValueError("multiplicity r must be >= 1")
+        if not 0 <= self.J0 <= MAX_J0:
+            raise ValueError(f"coarsest level J0={self.J0} must lie in 0..{MAX_J0}")
         for name in ("phi", "psi", "phi_dual", "psi_dual"):
             if len(getattr(self, name)) != self.r:
                 raise ValueError(f"{name} must have {self.r} components")
+        # duals with m vanishing moments need primals that reproduce degree m-1
+        deg = max(f.degree for f in self.phi)
+        if self.m - 1 > deg:
+            raise ValueError(f"approximation order m={self.m} needs interior scaling functions "
+                             f"of degree m-1={self.m - 1}, not {deg}")
         for side in ("left", "right"):
             for kind in ("phi", "psi"):
                 p = getattr(self, f"{kind}_{side}")
@@ -216,8 +226,7 @@ def _cell_moments(t, grid, deg) -> list:
     sum_n c_n h^(n+d+1)/(n+d+1), c its local piece about a and h = b - a."""
     if any(grid[0] < b < grid[-1] and b not in grid for b in t.breakpoints):
         raise ValueError("a constraint target breaks inside a cell of the grid")
-    return [sum(c * (b - a) ** (n + d + 1) / (n + d + 1) for n, c in enumerate(t._local_coeffs(a)))
-            for a, b in zip(grid, grid[1:]) for d in range(deg + 1)]
+    return [_integrate(t._local_coeffs(a), b - a, d) for a, b in zip(grid, grid[1:]) for d in range(deg + 1)]
 
 
 def _build_dual(grid, deg, constraints):
@@ -363,22 +372,15 @@ def _level_biorthogonality_residual(prim: list, dual: list) -> float:
     return res
 
 
-def _boundary_moment_residual(sys: WaveletSystem) -> float:
-    """Vanishing moments 1..m-1 of boundary dual wavelets (about 0 / 1);
-    moment 0 is not required to vanish."""
+def _moment_residual(sys: WaveletSystem, sides: tuple) -> float:
+    """Vanishing moments of the dual wavelets of `sides`: 0..m-1 about 0 for
+    an interior dual, and 1..m-1 about its endpoint (0 on the left, 1 on the
+    right) for a boundary dual, whose moment 0 need not vanish."""
     res = 0.0
-    for duals, center in ((sys.psi_left_dual, 0), (sys.psi_right_dual, 1)):
-        for f in duals:
-            for d in range(1, sys.m):
-                res = max(res, abs(float(f.moment(d, center))))
-    return res
-
-
-def _interior_moment_residual(sys: WaveletSystem) -> float:
-    res = 0.0
-    for f in sys.psi_dual:
-        for d in range(sys.m):
-            res = max(res, abs(float(f.moment(d, 0))))
+    for side in sides:
+        for f in sys.family("wavelet", side, dual=True):
+            for d in range(side != "interior", sys.m):
+                res = max(res, abs(float(f.moment(d, int(side == "right")))))
     return res
 
 
@@ -437,24 +439,17 @@ def full_verification(sys: WaveletSystem) -> VerificationReport:
     # dual: a primal/dual inner product is then that of the L2-normalized
     # translates, and exact at every J0, where `dyadic_transform`'s 2^(J0/2)
     # is a float at odd J0
-    two = Fraction(2) ** sys.J0
-
     def level_set(dual):
-        amp, out = 1 if dual else two, []
-        for kind in ("scaling", "wavelet"):
-            for side, comp, ks in sys.translates(kind, sys.J0):
-                f = sys.family(kind, side, dual)[comp]
-                out += [PiecewisePolynomial([(b + k) / two for b in f.breakpoints],
-                                            [tuple(amp * c * two**n for n, c in enumerate(p)) for p in f.pieces])
-                        for k in ks]
-        return out
+        amp = 1 if dual else Fraction(2) ** sys.J0
+        return [sys.family(kind, side, dual)[comp].dilate(sys.J0, k).scale(amp)
+                for kind in ("scaling", "wavelet") for side, comp, ks in sys.translates(kind, sys.J0) for k in ks]
 
     prim, dual = level_set(False), level_set(True)
     return VerificationReport({
         "biorthogonality-interior": _interior_biorthogonality_residual(sys),
         "biorthogonality-level-J0": _level_biorthogonality_residual(prim, dual),
-        "moments-boundary": _boundary_moment_residual(sys),
-        "moments-interior": _interior_moment_residual(sys),
+        "moments-boundary": _moment_residual(sys, ("left", "right")),
+        "moments-interior": _moment_residual(sys, ("interior",)),
         "h1-membership": _continuity_residual(sys),
         "support-disjointness-J0": _disjointness_residual(sys, prim + dual),
         "dual-antiderivative-ladder": _ladder_residual(sys),
@@ -500,15 +495,27 @@ def dual_antiderivative_ladder(sys: WaveletSystem) -> dict:
 
 # the function families in the order of `WaveletSystem`'s fields, which a file keeps
 _FAMILY_NAMES = tuple(f.name for f in fields(WaveletSystem) if f.type == "tuple")
+# the header lines, each with the WaveletSystem fields its integers set
+_HEADER = {"m": ("m",), "r": ("r",), "J0": ("J0",), "offsets": ("n_l_phi", "n_h_phi", "n_l_psi", "n_h_psi")}
+# what the tokens of a line hold, named when one cannot be read
+_HOLDS = {"BREAKS": "breakpoints", "PIECE": "coefficient", **{key: key for key in _HEADER}}
 
 _BREAK_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 _EXACT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_FUNC_RE = re.compile(r"^FUNC\s+(\w+)\[(\d+)\]$")
+_FUNC_RE = re.compile(r"^(\w+)\[(\d+)\]$")
 
 
 def _format_break(b: Fraction) -> str:
     e = b.denominator.bit_length() - 1
     return f"{b.numerator}/2^{e}" if e else str(b.numerator)
+
+
+def _parse_break(t: str) -> Fraction:
+    """An `n` or `n/2^e` token as a Fraction."""
+    mobj = _BREAK_RE.match(t)
+    if not mobj:
+        raise ValueError(f"{t!r} is not n or n/2^e")
+    return Fraction(int(mobj.group(1)), 2 ** int(mobj.group(2) or 0))
 
 
 def _format_coeff(c) -> str:
@@ -517,19 +524,18 @@ def _format_coeff(c) -> str:
 
 
 def _parse_coeff(t: str):
-    """An integer or `p/q` token as a Fraction, any other with float()."""
-    return Fraction(t) if _EXACT_RE.match(t) else float(t)
+    """An integer or `p/q` token as a Fraction, any other finite one with float()."""
+    if _EXACT_RE.match(t):
+        return Fraction(t)
+    if not math.isfinite(v := float(t)):
+        raise ValueError(f"{t!r} is not finite")
+    return v
 
 
 def save_system(sys: WaveletSystem, path) -> None:
     """Write a system definition file (see the README for the grammar)."""
-    lines = [
-        "# wavelet system definition",
-        f"m {sys.m}",
-        f"r {sys.r}",
-        f"J0 {sys.J0}",
-        f"offsets {sys.n_l_phi} {sys.n_h_phi} {sys.n_l_psi} {sys.n_h_psi}",
-    ]
+    lines = ["# wavelet system definition"]
+    lines += [" ".join([key, *(str(getattr(sys, name)) for name in names)]) for key, names in _HEADER.items()]
     for name in _FAMILY_NAMES:
         for i, f in enumerate(getattr(sys, name)):
             lines.append(f"FUNC {name}[{i}]")
@@ -541,90 +547,55 @@ def save_system(sys: WaveletSystem, path) -> None:
 
 
 def load_system(path) -> WaveletSystem:
-    """Parse a system definition file and accept it iff verification passes."""
-    with open(path) as fh:
-        raw = fh.read()
+    """Parse a system definition file and accept it iff verification passes.
 
-    header: dict = {}
-    families: dict = {name: [] for name in _FAMILY_NAMES}
-    cur_name = None
-    cur_breaks = None
-    cur_pieces: list = []
-
-    def flush(lineno):
-        nonlocal cur_name, cur_breaks, cur_pieces
-        if cur_name is None:
-            return
-        if cur_breaks is None:
-            raise SystemFormatError(f"line {lineno}: FUNC block without BREAKS")
-        try:
-            pp = PiecewisePolynomial(cur_breaks, cur_pieces)
-        except ValueError as e:
-            raise SystemFormatError(f"line {lineno}: {e}") from e
-        families[cur_name].append(pp)
-        cur_name, cur_breaks, cur_pieces = None, None, []
-
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("FUNC"):
-            flush(lineno)
-            mobj = _FUNC_RE.match(line)
-            if not mobj:
-                raise SystemFormatError(f"line {lineno}: malformed FUNC line: {line!r}")
-            name, idx = mobj.group(1), int(mobj.group(2))
-            if name not in _FAMILY_NAMES:
-                raise SystemFormatError(f"line {lineno}: unknown family {name!r}")
-            if idx != len(families[name]):
-                raise SystemFormatError(
-                    f"line {lineno}: {name}[{idx}] out of order (expected index {len(families[name])})"
-                )
-            cur_name = name
-        elif line.startswith("BREAKS"):
-            if cur_name is None:
-                raise SystemFormatError(f"line {lineno}: BREAKS outside a FUNC block")
-            toks = line.split()[1:]
-            vals = []
-            for t in toks:
-                mobj = _BREAK_RE.match(t)
+    A `#` starts a comment that runs to the end of its line.  A file that
+    cannot be read as a system raises SystemFormatError, which names the
+    line at fault when there is one."""
+    header, families = {}, {name: [] for name in _FAMILY_NAMES}
+    block, where = None, ""  # the FUNC block being read, and the place an error names
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        for n, line in enumerate(lines, start=1):
+            key, *toks = line.partition("#")[0].split() or [None]
+            where = f"line {n}: " + (f"bad {_HOLDS[key]}: " if key in _HOLDS else "")
+            if key in _HEADER:
+                if len(toks) != len(_HEADER[key]):
+                    raise ValueError(f"needs {len(_HEADER[key])} integer(s), got {len(toks)}")
+                header.update(zip(_HEADER[key], map(int, toks)))
+            elif key == "FUNC":
+                mobj = _FUNC_RE.match(" ".join(toks))
                 if not mobj:
-                    raise SystemFormatError(f"line {lineno}: bad breakpoint token {t!r}")
-                num = int(mobj.group(1))
-                e = int(mobj.group(2) or 0)
-                vals.append(Fraction(num, 2**e))
-            if any(a >= b for a, b in zip(vals, vals[1:])):
-                raise SystemFormatError(f"line {lineno}: breakpoints not increasing")
-            cur_breaks = vals
-        elif line.startswith("PIECE"):
-            if cur_breaks is None:
-                raise SystemFormatError(f"line {lineno}: PIECE before BREAKS")
-            try:
-                cur_pieces.append(tuple(_parse_coeff(t) for t in line.split()[1:]))
-            except (ValueError, ZeroDivisionError) as e:
-                raise SystemFormatError(f"line {lineno}: bad coefficient: {e}") from e
-        else:
-            key, *rest = line.split()
-            if key in ("m", "r", "J0"):
-                header[key] = int(rest[0])
-            elif key == "offsets":
-                if len(rest) != 4:
-                    raise SystemFormatError(f"line {lineno}: offsets needs 4 integers")
-                header["offsets"] = tuple(int(v) for v in rest)
-            else:
-                raise SystemFormatError(f"line {lineno}: unrecognized line: {line!r}")
-    flush("<eof>")
-
-    for key in ("m", "r", "J0", "offsets"):
-        if key not in header:
-            raise SystemFormatError(f"missing header field {key!r}")
-    missing = [n for n in _FAMILY_NAMES if not families[n]]
-    if missing:
-        raise SystemFormatError(f"missing function families: {', '.join(missing)}")
-
-    try:  # the offsets are n_l_phi, n_h_phi, n_l_psi and n_h_psi, in field order
-        sys = WaveletSystem(header["m"], header["r"], header["J0"], *header["offsets"],
-                            **{name: tuple(families[name]) for name in _FAMILY_NAMES})
-    except ValueError as e:
-        raise SystemFormatError(str(e)) from e
+                    raise ValueError(f"malformed FUNC line: {line!r}")
+                name, idx = mobj.group(1), int(mobj.group(2))
+                if name not in families:
+                    raise ValueError(f"unknown family {name!r}")
+                if idx != len(families[name]):
+                    raise ValueError(f"{name}[{idx}] out of order (expected index {len(families[name])})")
+                block = [f"line {n}: {name}[{idx}]: ", (), []]  # where, breaks and pieces, built below
+                families[name].append(block)
+            elif key in ("BREAKS", "PIECE") and block is None:
+                raise ValueError(f"{key} outside a FUNC block")
+            elif key == "BREAKS":
+                block[1] = [_parse_break(t) for t in toks]
+                if any(a >= b for a, b in zip(block[1], block[1][1:])):
+                    raise ValueError("not increasing")
+            elif key == "PIECE":
+                block[2].append(tuple(_parse_coeff(t) for t in toks))
+            elif key is not None:
+                raise ValueError(f"unrecognized line: {line!r}")
+        for blocks in families.values():
+            for i, (where, breaks, pieces) in enumerate(blocks):
+                blocks[i] = PiecewisePolynomial(breaks, pieces)
+        where = ""
+        missing = [key for key, names in _HEADER.items() if names[0] not in header]
+        if missing:
+            raise ValueError(f"missing header field(s): {', '.join(missing)}")
+        missing = [name for name, blocks in families.items() if not blocks]
+        if missing:
+            raise ValueError(f"missing function families: {', '.join(missing)}")
+        sys = WaveletSystem(**header, **{name: tuple(blocks) for name, blocks in families.items()})
+    except (ValueError, ZeroDivisionError) as e:
+        raise SystemFormatError(f"{where}{e}") from e
     return _accept(sys)

@@ -122,6 +122,19 @@ class TestExitCodes:
         bad.write_text("m 2\nr 1\nJ0 2\noffsets 2 2 1 2\nFUNC wat[0]\n")
         assert main(["--system", str(bad), "--verify-only"]) == EXIT_SYSTEM
 
+    def test_missing_system_file_is_config_error(self, tmp_path):
+        assert main(["--system", str(tmp_path / "none.sys"), "--verify-only"]) == EXIT_CONFIG
+
+    def test_out_naming_a_file_is_refused_before_the_sweep(self, monkeypatch, tmp_path, capsys):
+        def no_assembly(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(cli, "assemble", no_assembly)
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["--problem", "ex2", "--jmax", "5", "--out", str(path)]) == EXIT_CONFIG
+        assert "cannot use output directory" in capsys.readouterr().err
+
     def test_solver_failure_exit_code(self, monkeypatch):
         def boom(system):
             raise SolverError("synthetic failure")
@@ -134,9 +147,13 @@ class TestExitCodes:
         # is refused before any basis is built and jmax=7 (level 27) is not
         import dataclasses
 
+        from wavegal.piecewise import PiecewisePolynomial
         from wavegal.wavelets import builtin_order2_system
 
-        order3 = dataclasses.replace(builtin_order2_system(), m=3)
+        # order 3 needs quadratic interior scaling functions: the hat, padded
+        sys2 = builtin_order2_system()
+        phi = tuple(PiecewisePolynomial(f.breakpoints, [p + (0,) for p in f.pieces]) for f in sys2.phi)
+        order3 = dataclasses.replace(sys2, m=3, phi=phi)
 
         def no_basis(*args):
             raise RuntimeError("basis built")
@@ -222,16 +239,16 @@ class TestExitCodes:
 
         path = tmp_path / "sys.txt"
         wavelets.save_system(wavelets.builtin_order2_system(), path)
-        # every battery computes the interior moments once, whoever runs it
+        # every battery computes the boundary and the interior moments once each, whoever runs it
         calls = []
-        real = wavelets._interior_moment_residual
-        monkeypatch.setattr(wavelets, "_interior_moment_residual", lambda sysdef: calls.append(1) or real(sysdef))
+        real = wavelets._moment_residual
+        monkeypatch.setattr(wavelets, "_moment_residual", lambda sysdef, sides: calls.append(sides) or real(sysdef, sides))
         wavelets.builtin_order2_system.cache_clear()  # a fresh process builds the system anew
         try:
             for argv in (["--verify-only"], ["--verify-only", "--system", str(path)]):
                 calls.clear()
                 assert main(argv) == EXIT_OK
-                assert len(calls) == 1, argv
+                assert calls == [("left", "right"), ("interior",)], argv
                 out = capsys.readouterr().out.splitlines()
                 assert len(out) == 7 and all(line.startswith("PASS") for line in out)
         finally:
@@ -297,9 +314,9 @@ class TestRun:
         builtin_order2_system()
 
         def refuse(*args):
-            raise AssertionError("dyadic_transform called during a sweep")
+            raise AssertionError("dilate called during a sweep")
 
-        monkeypatch.setattr(PiecewisePolynomial, "dyadic_transform", refuse)
+        monkeypatch.setattr(PiecewisePolynomial, "dilate", refuse)
         for mode in ("enriched", "fem"):
             records = run(ExperimentConfig(problem="ex2", mode=mode, jmin=2, jmax=6))
             assert len(records) == 5

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wavegal.piecewise import Interval, PiecewisePolynomial, inner_product
+from wavegal.piecewise import Interval, PiecewisePolynomial, dyadic_amplitude, inner_product
 
 
 def hat(lo=0, peak=1, hi=2):
@@ -141,6 +141,24 @@ class TestDyadicTransform:
         p = PiecewisePolynomial([0, 1, 3], [(1,), (1,)])
         q = p.dyadic_transform(2, 1)
         assert (float(q.support.lo), float(q.support.hi)) == (0.25, 1.0)
+
+    def test_dilate_is_the_exact_level_map(self):
+        p = PiecewisePolynomial([-1, 0, 2], [(Fraction(1), Fraction(-3), Fraction(1, 2)), (Fraction(2), Fraction(1, 4))])
+        for j in (-2, 0, 1, 3):
+            for k in (-3, 0, Fraction(5, 2)):
+                q = p.dilate(j, k)
+                assert q.is_exact()
+                for x in (Fraction(n, 16) for n in range(-80, 81)):
+                    assert q.evaluate(x) == p.evaluate(2**j * Fraction(x) - k), (j, k, x)
+
+    def test_transform_is_dilate_times_the_amplitude(self):
+        p = hat()
+        for j in (2, 3):
+            q, d = p.dyadic_transform(j, 1), p.dilate(j, 1)
+            assert q.breakpoints == d.breakpoints
+            assert q.pieces == tuple(tuple(dyadic_amplitude(j) * c for c in piece) for piece in d.pieces)
+        assert dyadic_amplitude(2) == 2 and dyadic_amplitude(-4) == Fraction(1, 4)
+        assert isinstance(dyadic_amplitude(3), float) and dyadic_amplitude(3) == pytest.approx(2 * 2**0.5, rel=1e-15)
 
     def test_identity(self):
         p = hat()

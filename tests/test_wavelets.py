@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,14 @@ class TestFileFormat:
         with pytest.raises(SystemFormatError, match="bad coefficient"):
             load_system(dst)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_is_refused(self, tmp_path, token):
+        # a NaN residual would read as 0 in the battery, so the reader refuses it
+        dst = tmp_path / "b.txt"
+        _mutate(BUILTIN_FILE, dst, lambda ls: [l.replace("PIECE 0 1", f"PIECE {token} 1") for l in ls])
+        with pytest.raises(SystemFormatError, match=f"line 8: bad coefficient: '{token}' is not finite"):
+            load_system(dst)
+
     def test_malformed_func_line(self, sys2, tmp_path):
         src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
         save_system(sys2, src)
@@ -336,6 +345,34 @@ class TestFileFormat:
             "dual-antiderivative-ladder (residual 1.000e+00)"
         )
         assert not err.value.report.all_passed
+
+    @pytest.mark.parametrize("header, broken, names", [
+        ("m 2", "m two", "line 2"),
+        ("m 2", "m", "line 2"),
+        ("offsets 2 2 1 2", "offsets 2 2 1 x", "line 5"),
+        ("J0 2", "J0 -1", "J0=-1"),
+        ("J0 2", "J0 40", "J0=40"),
+        ("m 2", "m 200", "m=200"),
+    ])
+    def test_broken_header_line_is_refused_at_once(self, tmp_path, header, broken, names):
+        # a bad value is refused before the battery, which could never finish
+        # on J0=40 or pass with m=200 and linear scaling functions
+        dst = tmp_path / "b.txt"
+        _mutate(BUILTIN_FILE, dst, lambda ls: [broken if l == header else l for l in ls])
+        start = time.perf_counter()
+        with pytest.raises(SystemFormatError, match=names):
+            load_system(dst)
+        assert time.perf_counter() - start < 2.0
+
+    def test_trailing_comments_are_ignored(self, tmp_path):
+        # README's example of the format puts a comment after a value
+        notes = {"offsets 2 2 1 2": "# n_l_phi n_h_phi n_l_psi n_h_psi",
+                 "FUNC phi[0]": "# families: phi, psi, ...", "PIECE 0 1": "# about the left endpoint"}
+        dst = tmp_path / "b.txt"
+        _mutate(BUILTIN_FILE, dst, lambda ls: [f"{l}   {notes[l]}" if l in notes else l for l in ls])
+        assert dst.read_text().count("#") == 6  # the heading, and one per noted line ("PIECE 0 1" thrice)
+        checks = load_system(dst).verification.checks
+        assert all(r == 0.0 for r in checks.values()), checks
 
     def test_unrecognized_line_reports_position(self, sys2, tmp_path):
         src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
