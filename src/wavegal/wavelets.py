@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .piecewise import PiecewisePolynomial, _integrate, inner_product
+from .piecewise import PiecewisePolynomial, _integrate, _poly_eval, inner_product
 
 __all__ = [
     "WaveletSystem",
@@ -61,9 +61,14 @@ class SystemVerificationError(ValueError):
 
     def __init__(self, report: "VerificationReport"):
         failed = ", ".join(f"{name} (residual {res:.3e})" for name, res in report.checks.items()
-                           if res > VERIFICATION_TOL)
+                           if not _passes(res))
         super().__init__(f"system verification failed: {failed}")
         self.report = report
+
+
+def _passes(res: float) -> bool:
+    """A check passes when its residual is at most VERIFICATION_TOL, so a NaN fails."""
+    return res <= VERIFICATION_TOL
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,11 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(r <= VERIFICATION_TOL for r in self.checks.values())
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.checks, key=self.checks.get)
-        return name, self.checks[name]
+        return all(map(_passes, self.checks.values()))
 
     def __str__(self) -> str:
-        lines = []
-        for name, res in self.checks.items():
-            lines.append(f"{'PASS' if res <= VERIFICATION_TOL else 'FAIL'}  {name}: {res:.3e}")
-        return "\n".join(lines)
+        return "\n".join(f"{'PASS' if _passes(res) else 'FAIL'}  {name}: {res:.3e}"
+                         for name, res in self.checks.items())
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,14 @@ class WaveletSystem:
                 d = getattr(self, f"{kind}_{side}_dual")
                 if len(p) != len(d):
                     raise ValueError(f"{kind}_{side} primal/dual counts differ")
+        # V_{j+1} = V_j + W_j: the level-j scaling and wavelet layouts together
+        # hold as many members as the level-(j+1) scaling layout
+        for j in (self.J0, self.J0 + 1):
+            coarse, fine = (sum(len(ks) for kind in kinds for *_, ks in self.translates(kind, level))
+                            for kinds, level in ((("scaling", "wavelet"), j), (("scaling",), j + 1)))
+            if coarse != fine:
+                raise ValueError(f"level {j} has {coarse} scaling and wavelet functions but level {j + 1} has "
+                                 f"{fine} scaling functions (V_{j + 1} = V_{j} + W_{j} needs as many)")
 
     # family access by (kind, side) keys used throughout the basis builder
     def family(self, kind: str, side: str, dual: bool = False) -> tuple:
@@ -204,20 +211,32 @@ class WaveletSystem:
 
 
 def _gauss_solve(M, b):
+    """A solution x of the square system M x = b by exact Gauss-Jordan
+    elimination.  A column with no pivot left gets x = 0; a row left without
+    a pivot is a dependent constraint, and must have a zero right-hand side."""
     n = len(M)
     A = [row[:] + [b[i]] for i, row in enumerate(M)]
+    pivots = []  # the pivot column of each row in turn
     for col in range(n):
-        piv = next((rr for rr in range(col, n) if A[rr][col] != 0), None)
+        r = len(pivots)
+        piv = next((rr for rr in range(r, n) if A[rr][col] != 0), None)
         if piv is None:
-            raise ValueError("singular constraint system (dependent constraints)")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [v / pv for v in A[col]]
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        pv = A[r][col]
+        A[r] = [v / pv for v in A[r]]
         for rr in range(n):
-            if rr != col and A[rr][col] != 0:
+            if rr != r and A[rr][col] != 0:
                 f = A[rr][col]
-                A[rr] = [v - f * w for v, w in zip(A[rr], A[col])]
-    return [A[i][n] for i in range(n)]
+                A[rr] = [v - f * w for v, w in zip(A[rr], A[r])]
+        pivots.append(col)
+    left = [abs(A[rr][n]) for rr in range(len(pivots), n)]
+    if any(left):
+        raise ValueError(f"inconsistent dependent constraints (residual {float(max(left)):.3e})")
+    x = [0] * n
+    for r, col in enumerate(pivots):
+        x[col] = A[r][n]
+    return x
 
 
 def _cell_moments(t, grid, deg) -> list:
@@ -334,126 +353,92 @@ def _accept(sys: WaveletSystem) -> WaveletSystem:
 # ---------------------------------------------------------------------------
 
 
-def _overlap_shifts(p: PiecewisePolynomial, q: PiecewisePolynomial):
-    """Integer shifts k with Supp(p) meeting Supp(q(. - k)), plus a margin."""
-    lo = math.floor(float(p.support.lo - q.support.hi)) - 1
-    hi = math.ceil(float(p.support.hi - q.support.lo)) + 1
-    return range(lo, hi + 1)
+def _worst(misfits) -> float:
+    """The largest |misfit| as a float, or NaN at the first NaN misfit, which
+    max() would pass over.  Every check's residual is read this way."""
+    worst = 0.0
+    for v in misfits:
+        v = abs(float(v))
+        if math.isnan(v):
+            return v
+        worst = v if v > worst else worst
+    return worst
 
 
-def _interior_biorthogonality_residual(sys: WaveletSystem) -> float:
-    """Shift-biorthogonality of the interior functions on the line."""
-    res = 0.0
-    pairs = [
-        (sys.phi, sys.phi_dual, True),
-        (sys.psi, sys.psi_dual, True),
-        (sys.phi, sys.psi_dual, False),
-        (sys.psi, sys.phi_dual, False),
-    ]
-    for prims, duals, diag in pairs:
-        for a, p in enumerate(prims):
-            for b, q in enumerate(duals):
-                for k in _overlap_shifts(p, q):
-                    want = 1 if (diag and a == b and k == 0) else 0
-                    v = inner_product(p, q.translate(k))
-                    res = max(res, abs(float(v - want)))
-    return res
+def _jumps(f: PiecewisePolynomial) -> list:
+    """f(b+) - f(b-) at each breakpoint b of f extended by zero, exactly."""
+    bps = f.breakpoints
+    below = [0] + [_poly_eval(p, b - a) for a, b, p in zip(bps, bps[1:], f.pieces)]
+    return [above - v for above, v in zip([p[0] for p in f.pieces] + [0], below)]
 
 
-def _level_biorthogonality_residual(prim: list, dual: list) -> float:
-    """The full cross-Gram of the coarsest-level sets (scaling + wavelet,
-    boundary functions included) on [0, 1], which must be the identity
-    under the primal/dual bijection."""
-    res = 0.0
-    for i, p in enumerate(prim):
-        for jj, q in enumerate(dual):
-            want = 1 if i == jj else 0
-            res = max(res, abs(float(inner_product(p, q) - want)))
-    return res
+def _interior_misfits(sys: WaveletSystem):
+    """Shift-biorthogonality on the line: <p, q(. - k)> - delta for each
+    interior primal p, over the dual translates whose support interiors meet
+    p's (`_meeting`) and p's own dual at k = 0."""
+    line = [("phi", sys.phi_dual, -math.inf, math.inf), ("psi", sys.psi_dual, -math.inf, math.inf)]
+    for name, prims in (("phi", sys.phi), ("psi", sys.psi)):
+        for c, p in enumerate(prims):
+            duals = _meeting((p.support.lo, p.support.hi), line)
+            duals.setdefault((name, c, 0), getattr(sys, f"{name}_dual")[c])
+            yield from (inner_product(p, q) - (key == (name, c, 0)) for key, q in duals.items())
 
 
-def _moment_residual(sys: WaveletSystem, sides: tuple) -> float:
+def _moment_misfits(sys: WaveletSystem, sides: tuple):
     """Vanishing moments of the dual wavelets of `sides`: 0..m-1 about 0 for
     an interior dual, and 1..m-1 about its endpoint (0 on the left, 1 on the
     right) for a boundary dual, whose moment 0 need not vanish."""
-    res = 0.0
-    for side in sides:
-        for f in sys.family("wavelet", side, dual=True):
-            for d in range(side != "interior", sys.m):
-                res = max(res, abs(float(f.moment(d, int(side == "right")))))
-    return res
+    return (f.moment(d, int(side == "right")) for side in sides
+            for f in sys.family("wavelet", side, dual=True) for d in range(side != "interior", sys.m))
 
 
-def _continuity_residual(sys: WaveletSystem) -> float:
-    """Primal functions must be continuous (H1) and vanish at support ends."""
-    res = 0.0
-    for f in (g for fam in FAMILIES for g in sys.family(*fam)):
-        bps = f.breakpoints
-        res = max(res, abs(float(f._local_coeffs(bps[0])[0])))
-        for i in range(1, len(bps) - 1):
-            left = f(float(bps[i]))  # left limit by convention
-            right = float(f._local_coeffs(bps[i])[0])
-            res = max(res, abs(left - right))
-        # value at the right support end (left limit)
-        res = max(res, abs(f(float(bps[-1]))))
-    return res
+def _disjointness_misfits(level_sets: list):
+    """How far each level-J0 function, (side, f) in `level_sets`, reaches
+    outside [0, 1], and how far the left boundary supports reach past the
+    right ones."""
+    for _, f in level_sets:
+        yield from (min(f.support.lo, 0), max(f.support.hi - 1, 0))
+    reach = max(f.support.hi for side, f in level_sets if side == "left")
+    yield max(reach - min(f.support.lo for side, f in level_sets if side == "right"), 0)
 
 
-def _disjointness_residual(sys: WaveletSystem, level_sets: list) -> float:
-    """Left/right boundary supports at level J0 must not overlap, and all
-    level-J0 functions (primal and dual, `level_sets`) must live inside [0, 1]."""
-    his, los = [], []  # 2^J0 times the left supports' right ends and the right ones' left ends
-    for kind in ("scaling", "wavelet"):
-        for side, comp, ks in sys.translates(kind, sys.J0):
-            for dual in (False, True):
-                s = sys.family(kind, side, dual)[comp].support
-                if side == "left":
-                    his.append(s.hi + ks.start)
-                elif side == "right":
-                    los.append(s.lo + ks.start)
-    worst = max(float(max(0 - f.support.lo, f.support.hi - 1, 0)) for f in level_sets)
-    return max(worst, float(max(0, max(his) - min(los))) / 2**sys.J0)
-
-
-def _ladder_residual(sys: WaveletSystem) -> float:
-    """The largest violation over every step of every dual antiderivative
-    ladder: 1.0 for an interior step that is not compactly supported, and
-    a boundary step's absolute value at its endpoint from the second step on."""
+def _ladder_misfits(sys: WaveletSystem):
+    """Over every step of every dual antiderivative ladder: 1 for an interior
+    step that is not compactly supported, and a boundary step's value at its
+    endpoint from the second step on."""
     ladders = dual_antiderivative_ladder(sys)
-    res = 0.0
     for f, ladder in zip(sys.psi_dual, ladders["interior"]):
-        if not all(step.antiderivative_from_left()[1] for step in (f, *ladder[:-1])):
-            res = 1.0
-    for ladder in ladders["left"]:
-        for step in ladder[1:]:
-            res = max(res, abs(float(step._local_coeffs(step.breakpoints[0])[0])))
-    for ladder in ladders["right"]:
-        for step in ladder[1:]:
-            res = max(res, abs(step(float(step.breakpoints[-1]))))  # left limit at the right end
-    return res
+        yield from (not step.antiderivative_from_left()[1] for step in (f, *ladder[:-1]))
+    yield from (_jumps(step)[0] for ladder in ladders["left"] for step in ladder[1:])
+    yield from (_jumps(step)[-1] for ladder in ladders["right"] for step in ladder[1:])
 
 
 def full_verification(sys: WaveletSystem) -> VerificationReport:
-    """Run the complete battery required for accepting a system."""
+    """Run the complete battery required for accepting a system.  Each check
+    is a stream of exact misfits, and its residual their `_worst`."""
     # the level-J0 functions f(2^J0 . - k), times 2^J0 for a primal and 1 for a
     # dual: a primal/dual inner product is then that of the L2-normalized
     # translates, and exact at every J0, where `dyadic_transform`'s 2^(J0/2)
     # is a float at odd J0
     def level_set(dual):
         amp = 1 if dual else Fraction(2) ** sys.J0
-        return [sys.family(kind, side, dual)[comp].dilate(sys.J0, k).scale(amp)
+        return [(side, sys.family(kind, side, dual)[comp].dilate(sys.J0, k).scale(amp))
                 for kind in ("scaling", "wavelet") for side, comp, ks in sys.translates(kind, sys.J0) for k in ks]
 
     prim, dual = level_set(False), level_set(True)
-    return VerificationReport({
-        "biorthogonality-interior": _interior_biorthogonality_residual(sys),
-        "biorthogonality-level-J0": _level_biorthogonality_residual(prim, dual),
-        "moments-boundary": _moment_residual(sys, ("left", "right")),
-        "moments-interior": _moment_residual(sys, ("interior",)),
-        "h1-membership": _continuity_residual(sys),
-        "support-disjointness-J0": _disjointness_residual(sys, prim + dual),
-        "dual-antiderivative-ladder": _ladder_residual(sys),
-    })
+    checks = {
+        "biorthogonality-interior": _interior_misfits(sys),
+        # the cross-Gram on [0, 1], the identity under the primal/dual bijection
+        "biorthogonality-level-J0": (inner_product(p, q) - (i == jj) for i, (_, p) in enumerate(prim)
+                                     for jj, (_, q) in enumerate(dual)),
+        "moments-boundary": _moment_misfits(sys, ("left", "right")),
+        "moments-interior": _moment_misfits(sys, ("interior",)),
+        # primal functions must be continuous (H1) and vanish at their support ends
+        "h1-membership": (v for fam in FAMILIES for f in sys.family(*fam) for v in _jumps(f)),
+        "support-disjointness-J0": _disjointness_misfits(prim + dual),
+        "dual-antiderivative-ladder": _ladder_misfits(sys),
+    }
+    return VerificationReport({name: _worst(misfits) for name, misfits in checks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +567,8 @@ def load_system(path) -> WaveletSystem:
                 if any(a >= b for a, b in zip(block[1], block[1][1:])):
                     raise ValueError("not increasing")
             elif key == "PIECE":
+                if not toks:
+                    raise ValueError("PIECE needs at least one")
                 block[2].append(tuple(_parse_coeff(t) for t in toks))
             elif key is not None:
                 raise ValueError(f"unrecognized line: {line!r}")

@@ -1,6 +1,7 @@
 """Unit tests for the configuration-driven experiment runner."""
 
 import math
+import pathlib
 import textwrap
 import warnings
 from fractions import Fraction
@@ -122,6 +123,16 @@ class TestExitCodes:
         bad.write_text("m 2\nr 1\nJ0 2\noffsets 2 2 1 2\nFUNC wat[0]\n")
         assert main(["--system", str(bad), "--verify-only"]) == EXIT_SYSTEM
 
+    def test_short_layout_is_system_error(self, tmp_path, capsys):
+        # offsets that leave level 2 without interior wavelets are refused before the battery
+        bad = tmp_path / "sys.txt"
+        text = pathlib.Path(__file__).with_name("data").joinpath("builtin_order2.sys").read_text()
+        bad.write_text(text.replace("offsets 2 2 1 2\n", "offsets 2 2 1 200\n"))
+        assert main(["--system", str(bad), "--verify-only"]) == EXIT_SYSTEM
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "level 2 has 5 scaling and wavelet functions but level 3 has 7 scaling functions" in captured.err
+
     def test_missing_system_file_is_config_error(self, tmp_path):
         assert main(["--system", str(tmp_path / "none.sys"), "--verify-only"]) == EXIT_CONFIG
 
@@ -241,8 +252,8 @@ class TestExitCodes:
         wavelets.save_system(wavelets.builtin_order2_system(), path)
         # every battery computes the boundary and the interior moments once each, whoever runs it
         calls = []
-        real = wavelets._moment_residual
-        monkeypatch.setattr(wavelets, "_moment_residual", lambda sysdef, sides: calls.append(sides) or real(sysdef, sides))
+        real = wavelets._moment_misfits
+        monkeypatch.setattr(wavelets, "_moment_misfits", lambda sysdef, sides: calls.append(sides) or real(sysdef, sides))
         wavelets.builtin_order2_system.cache_clear()  # a fresh process builds the system anew
         try:
             for argv in (["--verify-only"], ["--verify-only", "--system", str(path)]):

@@ -20,8 +20,11 @@ from wavegal.wavelets import (
     load_system,
     save_system,
     _FAMILY_NAMES,
+    _accept,
     _cell_moments,
+    _gauss_solve,
     _meeting,
+    _spline_system,
 )
 
 BUILTIN_FILE = pathlib.Path(__file__).parent / "data" / "builtin_order2.sys"
@@ -77,6 +80,13 @@ class TestBuiltinSystem:
             assert sum(len(ks) for *_, ks in members) == n
             for side, comp, _ in members:  # each member's primal has its dual
                 assert len(sys2.family(kind, side, dual=True)) > comp
+
+    def test_short_layout_is_refused(self, sys2):
+        # V_{j+1} = V_j + W_j: at J0 and J0 + 1 the scaling and wavelet members
+        # count as many as the next level's scaling members, from J0 = 2 on
+        assert dataclasses.replace(sys2, J0=4).J0 == 4
+        with pytest.raises(ValueError, match=r"level 1 has 4 scaling and wavelet functions but level 2 has 3"):
+            dataclasses.replace(sys2, J0=1)
 
     @pytest.mark.parametrize("J0", [2, 3])
     def test_exact_battery_at_odd_and_even_coarsest_level(self, sys2, J0):
@@ -145,8 +155,50 @@ class TestDualRule:
     def test_offsets_and_coarsest_level_read_off_the_supports(self, sys2):
         assert (sys2.n_l_phi, sys2.n_h_phi, sys2.n_l_psi, sys2.n_h_psi, sys2.J0) == (2, 2, 1, 2, 2)
 
+    def test_consistent_dependent_constraints_are_solved(self):
+        # the second row repeats the first: its column gets 0, and the row reads 0 = 0
+        M = [[Fraction(v) for v in row] for row in ([1, 2, 0], [2, 4, 0], [0, 0, 3])]
+        assert _gauss_solve(M, [Fraction(1), Fraction(2), Fraction(1)]) == [1, 0, Fraction(1, 3)]
+
+    def test_inconsistent_dependent_constraints_raise(self):
+        with pytest.raises(ValueError, match=r"inconsistent dependent constraints \(residual 1.000e\+00\)"):
+            M = [[Fraction(v) for v in row] for row in ([1, 2, 0], [2, 4, 0], [0, 0, 3])]
+            _gauss_solve(M, [Fraction(1), Fraction(3), Fraction(1)])
+
+    def test_order3_recipe_builds(self):
+        # quadratic B-spline phi on knots -1..2, psi = phi(2x+1) + 3 phi(2x) - 3 phi(2x-1) - phi(2x-2),
+        # and at the left end the B-spline on knots 0, 0, 1, 2: on [-2, 3] the 14 interior translates
+        # meeting a dual span 12 dimensions, so two of its constraints are dependent but consistent
+        half = Fraction(1, 2)
+        phi = PiecewisePolynomial([-1, 0, 1, 2], [(0, 0, half), (half, 1, -1), (half, -1, half)])
+        psi = phi.dilate(1, -1) + phi.dilate(1, 0).scale(3) + phi.dilate(1, 1).scale(-3) + phi.dilate(1, 2).scale(-1)
+        phi_l = PiecewisePolynomial([0, 1, 2], [(0, 2, Fraction(-3, 2)), (half, -1, half)])
+        sys3 = _spline_system(3, (phi,), (psi,), (phi_l, phi.translate(1)), (phi_l.dilate(1, 0), psi.translate(1)),
+                              {"phi": (-2, 3), "psi": (-2, 3), "left": (0, 4)}, deg=2)
+        assert (sys3.J0, sys3.n_l_phi, sys3.n_h_phi, sys3.n_l_psi, sys3.n_h_psi) == (3, 2, 3, 2, 3)
+        checks = sys3.verification.checks
+        assert len(checks) == 7 and all(r == 0.0 for r in checks.values()), checks
+
 
 class TestPerturbationSensitivity:
+    @pytest.mark.parametrize("name, nan_checks, failed", [
+        ("phi", ["biorthogonality-interior", "biorthogonality-level-J0", "h1-membership"], ""),
+        ("psi_dual", ["biorthogonality-interior", "biorthogonality-level-J0", "moments-interior"],
+         ", dual-antiderivative-ladder (residual 1.000e+00)"),
+    ], ids=["phi", "psi_dual"])
+    def test_nan_coefficient_fails(self, sys2, name, nan_checks, failed):
+        # max(0.0, nan) is 0.0, so a NaN misfit must not pass as one more small residual
+        f = getattr(sys2, name)[0]
+        pieces = [list(p) for p in f.pieces]
+        pieces[0][0] = math.nan
+        bad_sys = dataclasses.replace(sys2, **{name: (PiecewisePolynomial(f.breakpoints, pieces),)})
+        assert not bad_sys.verification.all_passed
+        assert [n for n, r in bad_sys.verification.checks.items() if math.isnan(r)] == nan_checks
+        with pytest.raises(SystemVerificationError) as err:
+            _accept(bad_sys)
+        named = ", ".join(f"{n} (residual nan)" for n in nan_checks)
+        assert str(err.value) == f"system verification failed: {named}{failed}"
+
     def test_single_coefficient_perturbation_is_detected(self, sys2):
         # bump one coefficient of the interior dual wavelet by 1e-3
         pd = sys2.psi_dual[0]
@@ -210,7 +262,7 @@ class TestAntiderivativeLadder:
 
 
 class TestVerificationReport:
-    def test_names_order_worst_and_str(self, sys2):
+    def test_names_order_and_str(self, sys2):
         report = full_verification(
             dataclasses.replace(sys2, psi_dual=(sys2.psi_dual[0].scale(Fraction(3, 2)),))
         )
@@ -223,8 +275,6 @@ class TestVerificationReport:
             "support-disjointness-J0",
             "dual-antiderivative-ladder",
         ]
-        name, res = report.worst()
-        assert res == max(report.checks.values()) == report.checks[name] > 0
         lines = str(report).splitlines()
         assert [line.split()[1].rstrip(":") for line in lines] == list(report.checks)
         assert lines[0] == "FAIL  biorthogonality-interior: 5.000e-01"
@@ -268,10 +318,17 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_coefficient_is_refused(self, tmp_path, token):
-        # a NaN residual would read as 0 in the battery, so the reader refuses it
+        # the reader refuses a non-finite token at once, naming its line
         dst = tmp_path / "b.txt"
         _mutate(BUILTIN_FILE, dst, lambda ls: [l.replace("PIECE 0 1", f"PIECE {token} 1") for l in ls])
         with pytest.raises(SystemFormatError, match=f"line 8: bad coefficient: '{token}' is not finite"):
+            load_system(dst)
+
+    def test_empty_piece_line_is_refused(self, tmp_path):
+        # a piece needs its constant coefficient: the battery reads each piece's value at its left end
+        dst = tmp_path / "b.txt"
+        _mutate(BUILTIN_FILE, dst, lambda ls: ["PIECE" if l == "PIECE 0 1" else l for l in ls])
+        with pytest.raises(SystemFormatError, match="line 8: bad coefficient: PIECE needs at least one"):
             load_system(dst)
 
     def test_malformed_func_line(self, sys2, tmp_path):
@@ -353,10 +410,14 @@ class TestFileFormat:
         ("J0 2", "J0 -1", "J0=-1"),
         ("J0 2", "J0 40", "J0=40"),
         ("m 2", "m 200", "m=200"),
+        pytest.param("offsets 2 2 1 2", "offsets 2 2 1 200",
+                     "level 2 has 5 scaling and wavelet functions but level 3 has 7 scaling functions",
+                     id="offsets-short-layout"),
     ])
     def test_broken_header_line_is_refused_at_once(self, tmp_path, header, broken, names):
         # a bad value is refused before the battery, which could never finish
-        # on J0=40 or pass with m=200 and linear scaling functions
+        # on J0=40 or pass with m=200 and linear scaling functions; offsets that
+        # leave level 2 without interior wavelets lay out too few functions
         dst = tmp_path / "b.txt"
         _mutate(BUILTIN_FILE, dst, lambda ls: [broken if l == header else l for l in ls])
         start = time.perf_counter()
