@@ -18,7 +18,6 @@ from .wavelets import (
     VerificationReport,
     WaveletSystem,
     builtin_order2_system,
-    dual_antiderivative_ladder,
     full_verification,
     load_system,
     save_system,
@@ -61,7 +60,6 @@ _SOLVER_NAMES = (
     "assemble_load",
     "assemble_stiffness",
     "condition_number",
-    "export_matrix_market",
     "solve",
 )
 

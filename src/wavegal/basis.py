@@ -120,10 +120,6 @@ class EnrichedBasis:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    @property
-    def N(self) -> int:
-        return len(self)
-
     def level(self, J: int) -> tuple[np.ndarray, "EnrichedBasis"]:
         """The rows of this basis that form its level-J basis, in order, and
         that basis, which equals what `enriched_basis` (or, when gamma is

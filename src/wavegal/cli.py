@@ -28,6 +28,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import (
     ConvergenceRecord,
     convergence_orders,
@@ -137,6 +139,12 @@ def _get_problem(cfg: ExperimentConfig):
         raise ConfigError(f"bad problem definition: {e}") from e
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite: min and max propagate a NaN and
+    reach an inf, and make no temporary array of a's size."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def run(cfg: ExperimentConfig, log=None) -> list:
     """Execute the sweep; returns convergence records and writes outputs."""
     cfg.validate()
@@ -164,6 +172,12 @@ def run(cfg: ExperimentConfig, log=None) -> list:
     else:
         basis = truncated_basis(sysdef, sysdef.J0, cfg.jmax)
     full = assemble(basis, problem)
+    # data that is not finite somewhere the positivity spot check does not
+    # sample would fail the factor as singular, or print nan errors
+    if not _finite(full.A.data):
+        raise ConfigError("the stiffness matrix is not finite: a is not finite at a quadrature node")
+    if not _finite(full.b):
+        raise ConfigError("the load vector is not finite: f is not finite at a quadrature node")
 
     records, exact = [], None
     for J in levels:
@@ -173,6 +187,8 @@ def run(cfg: ExperimentConfig, log=None) -> list:
         system.factor = None  # the coupled block and its factor: free them before measuring errors
         if exact is None:  # once per sweep, when the first factor is freed
             exact = problem.exact.values(problem.gamma, full.form.nodes())
+            if not all(_finite(v) for v in exact):
+                raise ConfigError("the exact solution is not finite: u or u' is not finite at a quadrature node")
         pair = error_norms(sol, exact)
         N = len(system.basis)
         records.append(ConvergenceRecord(J, N, kappa, pair.E_L2, pair.E_H1))

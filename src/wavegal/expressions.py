@@ -19,10 +19,7 @@ becomes one float, and every subtree polynomial in x becomes one
 coefficient vector, evaluated by Horner's rule.  Trees are
 differentiated symbolically (sum, product, quotient, constant-power and
 chain rules, polynomials by their coefficients) and folded again, so an
-exact solution yields its manufactured source as another tree.  Every
-tree prints itself in the grammar with repr floats, as
-``Expression.text``, and ``parse_expression(e.text)`` rebuilds the same
-tree, so it evaluates to the same values bit for bit.
+exact solution yields its manufactured source as another tree.
 """
 
 from __future__ import annotations
@@ -39,9 +36,6 @@ __all__ = ["Expression", "ExpressionError", "parse_expression"]
 # products and integer powers of polynomials are expanded up to this degree
 MAX_DEGREE = 32
 
-# printing precedence: sum < product < unary minus < power < atom
-_SUM, _PROD, _UNARY, _POW, _ATOM = range(5)
-
 _FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
 
 
@@ -50,7 +44,7 @@ class ExpressionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tree nodes: eval(x), diff() and show() -> (text, precedence)
+# tree nodes: eval(x) and diff()
 # ---------------------------------------------------------------------------
 
 
@@ -63,9 +57,6 @@ class Const:
 
     def diff(self):
         return ZERO
-
-    def show(self):
-        return repr(self.v), _UNARY if self.v < 0 else _ATOM
 
 
 @dataclass(frozen=True)
@@ -92,16 +83,6 @@ class Poly:
     def diff(self):
         return _poly([k * ck for k, ck in enumerate(self.c)][1:])
 
-    def show(self):
-        nz = [k for k, ck in enumerate(self.c) if ck != 0.0]
-        if len(nz) > 1:
-            return _show_sum([_monomial(k, self.c[k]) for k in nz])
-        k, ck = nz[0], self.c[nz[0]]
-        power = "x" if k == 1 else f"x^{k}"
-        if abs(ck) == 1.0:
-            return ("-" if ck < 0 else "") + power, _UNARY if ck < 0 else _ATOM if k == 1 else _POW
-        return f"{ck!r}*{power}", _PROD
-
 
 @dataclass(frozen=True)
 class Sum:
@@ -119,10 +100,6 @@ class Sum:
     def diff(self):
         return reduce(add, [t.diff() for t in self.terms] + [self.poly.diff()])
 
-    def show(self):
-        mono = [_monomial(k, ck) for k, ck in enumerate(_coeffs(self.poly)) if ck != 0.0]
-        return _show_sum(list(self.terms) + mono)
-
 
 @dataclass(frozen=True)
 class Mul:
@@ -138,12 +115,6 @@ class Mul:
     def diff(self):
         return add(mul(self.a.diff(), self.b), mul(self.a, self.b.diff()))
 
-    def show(self):
-        # "-a*b" would parse back as (-a)*b, so a product core keeps "-1.0*(a*b)"
-        if isinstance(self.a, Const) and self.a.v == -1.0 and not isinstance(self.b, (Mul, Div)):
-            return "-" + _wrap(self.b, _UNARY), _PROD
-        return f"{_wrap(self.a, _PROD)}*{_wrap(self.b, _UNARY)}", _PROD
-
 
 @dataclass(frozen=True)
 class Div:
@@ -156,9 +127,6 @@ class Div:
     def diff(self):
         da, db = self.a.diff(), self.b.diff()
         return div(add(mul(da, self.b), neg(mul(self.a, db))), power(self.b, Const(2.0)))
-
-    def show(self):
-        return f"{_wrap(self.a, _PROD)}/{_wrap(self.b, _UNARY)}", _PROD
 
 
 @dataclass(frozen=True)
@@ -174,11 +142,6 @@ class Pow:
     def diff(self):
         p = self.p
         return mul(mul(Const(p), power(self.a, _const(p - 1.0))), self.a.diff())
-
-    def show(self):
-        p = self.p
-        exponent = str(int(p)) if p.is_integer() and abs(p) < 2.0**53 else repr(p)
-        return f"{_wrap(self.a, _ATOM)}^{exponent}", _POW
 
 
 @dataclass(frozen=True)
@@ -199,40 +162,9 @@ class Call:
             return mul(neg(call("sin", g)), dg)
         return div(dg, mul(Const(2.0), self))  # sqrt
 
-    def show(self):
-        return f"{self.name}({self.arg.show()[0]})", _ATOM
-
 
 ZERO = Const(0.0)
 X = Poly((0.0, 1.0))
-
-
-def _wrap(node, prec: int) -> str:
-    """node's text, parenthesised unless its precedence is at least prec."""
-    text, p = node.show()
-    return text if p >= prec else f"({text})"
-
-
-def _monomial(k: int, ck: float):
-    return Const(ck) if k == 0 else Poly((0.0,) * k + (ck,))
-
-
-def _negative(node) -> bool:
-    if isinstance(node, Mul) and isinstance(node.a, Const):
-        node = node.a
-    if isinstance(node, Poly):
-        return node.c[-1] < 0
-    return isinstance(node, Const) and node.v < 0
-
-
-def _show_sum(summands: list):
-    """Summands joined by + and -: a negative one after the first is
-    printed negated after a binary minus, which parses back to it."""
-    out = [summands[0].show()[0]]
-    for s in summands[1:]:
-        sign, s = (" - ", neg(s)) if _negative(s) else (" + ", s)
-        out.append(sign + _wrap(s, _PROD))
-    return "".join(out), _SUM
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +319,13 @@ class Expression:
 
     def __init__(self, tree):
         self.tree = tree
-        self.text = tree.show()[0]
 
     def __call__(self, x):
         if np.ndim(x) == 0:
             with np.errstate(all="ignore"):
                 val = float(self.tree.eval(np.float64(x)))
             if not math.isfinite(val):
-                raise ExpressionError(f"expression {self.text!r} is not finite at x={x!r}")
+                raise ExpressionError(f"expression {self.tree!r} is not finite at x={x!r}")
             return val
         x = np.asarray(x, dtype=float)
         out = self.tree.eval(x)
@@ -418,7 +349,7 @@ class Expression:
         return Expression(neg(self.tree))
 
     def __repr__(self) -> str:
-        return f"Expression({self.text!r})"
+        return f"Expression({self.tree!r})"
 
 
 _BINOPS = {ast.Add: add, ast.Sub: lambda a, b: add(a, neg(b)), ast.Mult: mul, ast.Div: div, ast.Pow: power}

@@ -103,7 +103,6 @@ __all__ = [
     "subsystem",
     "solve",
     "condition_number",
-    "export_matrix_market",
 ]
 
 QUAD_NODES = 10
@@ -504,14 +503,3 @@ def _lanczos_extremes(split: _Split) -> tuple[float, float]:
     except Exception as e:  # scipy raises several unrelated types here
         raise SolverError(f"eigenvalue estimation failed: {e}") from e
     return lmin, lmax
-
-
-def export_matrix_market(obj, path) -> None:
-    """Write a matrix (symmetric coordinate format) or vector to disk."""
-    import scipy.io
-
-    if scipy.sparse.issparse(obj):
-        scipy.io.mmwrite(path, obj.tocoo(), symmetry="symmetric")
-    else:
-        arr = np.asarray(obj)
-        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(arr.reshape(-1, 1)))

@@ -16,10 +16,10 @@ Every field is text in the grammar of `wavegal.expressions`; constants
 are numbers or constant expression text such as "pi/6".  Whenever an
 exact solution is given and no source term is, f = -(a u')' is
 manufactured on each subdomain by differentiating the parsed trees, so
-it is itself a folded expression with parseable text.  Whenever the
-sources are given and no exact solution is, u is built by quadrature of
-the flux a u' = C - int_0^x f + g [x > gamma], with C fixed by u(1) = 0,
-so every problem has an exact u to measure errors against.
+it is itself a folded expression tree.  Whenever the sources are given
+and no exact solution is, u is built by quadrature of the flux
+a u' = C - int_0^x f + g [x > gamma], with C fixed by u(1) = 0, so
+every problem has an exact u to measure errors against.
 
 The quadrature runs once, when the problem is built.  Each side of gamma
 starts from _FLUX_CELLS equal cells; on each, f, 1/a and G/a are
@@ -95,7 +95,7 @@ class InterfaceProblem:
         xp = np.linspace(self.gamma, 1.0, 513)[1:]
         am = np.asarray(self.a_minus(xm), dtype=float)
         ap = np.asarray(self.a_plus(xp), dtype=float)
-        lo = min(am.min() if am.ndim else float(am), ap.min() if ap.ndim else float(ap))
+        lo = np.minimum(am.min(), ap.min())  # a NaN sample propagates, and fails
         if not lo > 0.0:
             raise ValueError(f"diffusion coefficient not positive (min sample {lo})")
 

@@ -39,7 +39,6 @@ __all__ = [
     "load_system",
     "save_system",
     "full_verification",
-    "dual_antiderivative_ladder",
 ]
 
 VERIFICATION_TOL = 1e-10
@@ -403,14 +402,27 @@ def _disjointness_misfits(level_sets: list):
 
 
 def _ladder_misfits(sys: WaveletSystem):
-    """Over every step of every dual antiderivative ladder: 1 for an interior
-    step that is not compactly supported, and a boundary step's value at its
-    endpoint from the second step on."""
-    ladders = dual_antiderivative_ladder(sys)
-    for f, ladder in zip(sys.psi_dual, ladders["interior"]):
-        yield from (not step.antiderivative_from_left()[1] for step in (f, *ladder[:-1]))
-    yield from (_jumps(step)[0] for ladder in ladders["left"] for step in ladder[1:])
-    yield from (_jumps(step)[-1] for ladder in ladders["right"] for step in ladder[1:])
+    """The dual antiderivative ladders, m steps each: interior and right
+    duals integrate from the left, left duals take minus the integral from
+    the right.  Over every step: 1 for an interior step that is not
+    compactly supported, and a boundary step's value at its endpoint (0 on
+    the left, 1 on the right) from the second step on; the first boundary
+    step may be nonzero there."""
+
+    def ladder(f, to_right):
+        """The m steps from f, each with the compactness its antiderivative reports."""
+        steps = []
+        for _ in range(sys.m):
+            f, compact = f.antiderivative_to_right() if to_right else f.antiderivative_from_left()
+            steps.append((f, compact))
+        return steps
+
+    for f in sys.psi_dual:
+        yield from (not compact for _, compact in ladder(f, False))
+    for f in sys.psi_left_dual:
+        yield from (_jumps(step)[0] for step, _ in ladder(f, True)[1:])
+    for f in sys.psi_right_dual:
+        yield from (_jumps(step)[-1] for step, _ in ladder(f, False)[1:])
 
 
 def full_verification(sys: WaveletSystem) -> VerificationReport:
@@ -439,39 +451,6 @@ def full_verification(sys: WaveletSystem) -> VerificationReport:
         "dual-antiderivative-ladder": _ladder_misfits(sys),
     }
     return VerificationReport({name: _worst(misfits) for name, misfits in checks.items()})
-
-
-# ---------------------------------------------------------------------------
-# dual antiderivative ladder
-# ---------------------------------------------------------------------------
-
-
-def dual_antiderivative_ladder(sys: WaveletSystem) -> dict:
-    """Iterated antiderivatives of the dual wavelets, m steps each.
-
-    Interior and right-boundary duals integrate from the left; left-
-    boundary duals use minus the integral from the right.  The battery's
-    ladder check asks the interior ladder to stay supported inside the
-    original support for all m steps, and boundary ladders to vanish at
-    their endpoint (0 on the left, 1 on the right) from the second step
-    on; the first boundary step may be nonzero at the endpoint.
-
-    Returns a dict with keys 'interior', 'left', 'right'; each value is
-    a list (one entry per dual wavelet) of the ladder [step1, ..., stepm].
-    """
-
-    def ladder(f, to_right=False):
-        steps = []
-        for _ in range(sys.m):
-            f, _ = f.antiderivative_to_right() if to_right else f.antiderivative_from_left()
-            steps.append(f)
-        return steps
-
-    return {
-        "interior": [ladder(f) for f in sys.psi_dual],
-        "left": [ladder(f, to_right=True) for f in sys.psi_left_dual],
-        "right": [ladder(f) for f in sys.psi_right_dual],
-    }
 
 
 # ---------------------------------------------------------------------------

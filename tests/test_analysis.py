@@ -65,7 +65,7 @@ def zero_problem(gamma=0.3, exact=None):
 
 def zero_solution(sys2, J=2, gamma=0.3):
     eb = enriched_basis(sys2, 2, J, gamma)
-    return DiscreteSolution(np.zeros(eb.N), eb, assemble(eb, zero_problem(gamma)).form)
+    return DiscreteSolution(np.zeros(len(eb)), eb, assemble(eb, zero_problem(gamma)).form)
 
 
 class TestErrorNorms:

@@ -142,7 +142,7 @@ def level_counts(basis) -> dict:
 class TestTruncatedBasis:
     def test_dimension_formula(self, sys2):
         for J in range(2, 7):
-            assert truncated_basis(sys2, 2, J).N == 2 ** (J + 1) - 1
+            assert len(truncated_basis(sys2, 2, J)) == 2 ** (J + 1) - 1
 
     def test_level_counts_recorded(self, sys2):
         b = truncated_basis(sys2, 2, 4)
@@ -275,18 +275,18 @@ class TestEnrichedBasis:
     def test_dimension_sequence(self, sys2):
         want = {2: 10, 3: 21, 4: 40, 5: 75, 6: 142}
         for J, n in want.items():
-            assert enriched_basis(sys2, 2, J, GAMMA).N == n
+            assert len(enriched_basis(sys2, 2, J, GAMMA)) == n
 
     def test_contains_truncated_basis(self, sys2):
         trunc = truncated_basis(sys2, 2, 4)
         enr = enriched_basis(sys2, 2, 4, GAMMA)
         key = lambda bf: (bf.j, bf.kind, bf.k, bf.component)
-        assert [key(enr[i]) for i in range(trunc.N)] == [key(bf) for bf in trunc]
+        assert [key(enr[i]) for i in range(len(trunc))] == [key(bf) for bf in trunc]
 
     def test_enrichment_levels(self, sys2):
         J = 4
         enr = enriched_basis(sys2, 2, J, GAMMA)
-        extra = [enr[i].j for i in range(2 ** (J + 1) - 1, enr.N)]
+        extra = [enr[i].j for i in range(2 ** (J + 1) - 1, len(enr))]
         top = (2 * sys2.m - 2) * J - 1
         assert extra == sorted(extra)
         assert min(extra) == J + 1 and max(extra) == top
@@ -294,7 +294,7 @@ class TestEnrichedBasis:
         assert {j: n for j, n in level_counts(enr).items() if j > J} == want
 
     def test_growth_ratio_tends_to_two(self, sys2):
-        ns = [enriched_basis(sys2, 2, J, GAMMA).N for J in range(5, 10)]
+        ns = [len(enriched_basis(sys2, 2, J, GAMMA)) for J in range(5, 10)]
         ratios = [b / a for a, b in zip(ns, ns[1:])]
         assert all(1.7 < r < 2.1 for r in ratios)
         assert ratios == sorted(ratios)  # approaching 2 from below
@@ -363,7 +363,7 @@ class TestIndexArrays:
     def test_items_are_the_exact_functions(self, sys2):
         for basis in (enriched_basis(sys2, 2, 5, GAMMA), truncated_basis(sys2, 3, 5)):
             got, order = list(basis), former_order(sys2, basis.J0, basis.J, basis.gamma)
-            assert len(got) == len(order) == basis.N
+            assert len(got) == len(order) == len(basis)
             assert [basis[i - len(basis)].k for i in range(len(basis))] == [bf.k for bf in got]
             for bf, (kind, comp, j, k) in zip(got, order):
                 ref = _make(sys2, *kind.split("-"), j, k, comp)
@@ -420,7 +420,7 @@ class TestNestedLevels:
     def test_top_level_is_every_row(self, sys2):
         top = enriched_basis(sys2, 2, 7, GAMMA)
         rows, basis = top.level(7)
-        assert rows.tolist() == list(range(top.N))
+        assert rows.tolist() == list(range(len(top)))
         assert_same_basis(basis, top)
 
     @pytest.mark.parametrize("gamma", [GAMMA, math.sqrt(2) / 2, 0.5, 0.5 + 2.0**-53, 0.25 - 2.0**-55])

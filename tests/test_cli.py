@@ -215,6 +215,28 @@ class TestExitCodes:
             assert main(["--config", path]) == EXIT_CONFIG
         assert "diffusion coefficient not positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, what", [
+        # a NaN sample of a+ fails the spot check, as one of a- does
+        ({"a_plus": "sqrt(x - 0.9)"}, "diffusion coefficient not positive (min sample nan)"),
+        # NaN at quadrature nodes between the spot check's samples, which sit
+        # at the zeros of the sine
+        ({"a_plus": "1 + sqrt(sin(2048*pi*x) + 1e-9)"}, "stiffness matrix is not finite"),
+        # a source given beside the exact solution, or manufactured from it
+        ({"f_minus": "2", "f_plus": "sqrt(x - 0.9)"}, "load vector is not finite"),
+        ({"u_plus": "sqrt(x - 0.9)"}, "load vector is not finite"),
+        ({"u_plus": "sqrt(x - 0.9)", "f_minus": "2", "f_plus": "2"}, "exact solution is not finite"),
+    ], ids=["a_plus", "a_plus-between-samples", "f_plus", "u_plus", "u_plus-f-given"])
+    def test_non_finite_data_is_config_error(self, tmp_path, capsys, fields, what):
+        spec = {"gamma": "0.5", "a_minus": "1", "a_plus": "1", "g_gamma": "0",
+                "u_minus": "x*(1-x)", "u_plus": "x*(1-x)", **fields}
+        path = write_config(tmp_path, "[experiment]\njmax = 4\n[problem]\n"
+                            + "".join(f"{k} = {v}\n" for k, v in spec.items()))
+        out = tmp_path / "out"
+        with np.errstate(invalid="ignore"):
+            assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert what in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("f_minus, why", [
         # a sqrt-like singularity off 0 needs far more halvings than the depth
         # cap allows

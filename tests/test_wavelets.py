@@ -15,7 +15,6 @@ from wavegal.wavelets import (
     SystemFormatError,
     SystemVerificationError,
     builtin_order2_system,
-    dual_antiderivative_ladder,
     full_verification,
     load_system,
     save_system,
@@ -223,24 +222,31 @@ class TestPerturbationSensitivity:
         assert report.checks["moments-interior"] >= 1e-4
 
 
+def ladder(f, m, to_right=False):
+    """The m iterated antiderivatives of f that the battery's ladder check
+    reads: from the left, or minus the integral from the right."""
+    steps = []
+    for _ in range(m):
+        f, _ = f.antiderivative_to_right() if to_right else f.antiderivative_from_left()
+        steps.append(f)
+    return steps
+
+
 class TestAntiderivativeLadder:
     def test_interior_ladder_stays_supported(self, sys2):
-        ladder = dual_antiderivative_ladder(sys2)
         sup = sys2.psi_dual[0].support
-        for step in ladder["interior"][0]:
+        for step in ladder(sys2.psi_dual[0], sys2.m):
             assert step.support.lo >= sup.lo and step.support.hi <= sup.hi
 
     def test_left_ladder_endpoint_values(self, sys2):
-        ladder = dual_antiderivative_ladder(sys2)
-        step1, step2 = ladder["left"][0][0], ladder["left"][0][1]
+        step1, step2 = ladder(sys2.psi_left_dual[0], sys2.m, to_right=True)[:2]
         v1 = float(step1._local_coeffs(step1.breakpoints[0])[0])
         assert abs(v1) > 0.1  # first step may be (and is) nonzero at x=0
         v2 = float(step2._local_coeffs(step2.breakpoints[0])[0])
         assert v2 == pytest.approx(0.0, abs=1e-12)
 
     def test_right_ladder_mirrors_left(self, sys2):
-        ladder = dual_antiderivative_ladder(sys2)
-        r2 = ladder["right"][0][1]
+        r2 = ladder(sys2.psi_right_dual[0], sys2.m)[1]
         assert r2(float(r2.breakpoints[-1])) == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_is_the_largest_violation(self, sys2):
