@@ -8,10 +8,10 @@ system: the graded mesh of all basis breakpoints plus gamma (see
 level and never straddles the derivative jump.  The discrete solution is
 evaluated from its per-cell polynomials, the coefficients C c, by the
 form it carries (`_CellForm.values`; `evaluate_solution` reads them at
-any point), and the exact one from the problem's
-`ExactSolution.values`, u and u' together, or taken as given at the
-mesh's Gauss nodes: a sweep whose levels share one mesh evaluates u and
-u' on it once and hands the pair to every level.
+any point).  The exact u and u' come as given at the mesh's Gauss
+nodes, as `ExactSolution.values` evaluates and checks them: a sweep
+whose levels share one mesh evaluates the pair once and hands it to
+every level.
 
 The decay diagnostics measure the coefficients <u, 2^j eta~_{j;k}> of a
 known piecewise-smooth u against the dual wavelets, split into the family
@@ -29,9 +29,9 @@ The pass streams a few thousand blocks at a time into the count, sum of
 squares and maximum the diagnostics need, so its memory does not grow
 with the level.
 
-This module imports nothing from `galerkin`: the solutions it measures
-bring their form with them, and the diagnostics need only numpy, so
-neither loads scipy.
+This module imports nothing from `galerkin` or `problems`: the solutions
+it measures bring their form with them, the exact values come as
+arrays, and the diagnostics need only numpy, so neither loads scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .piecewise import PiecewisePolynomial, gauss_rule
-from .problems import InterfaceProblem
 from .wavelets import WaveletSystem
 
 if TYPE_CHECKING:  # an annotation only: importing the solver loads scipy
@@ -116,23 +115,14 @@ def error_norms(sol: DiscreteSolution, reference) -> ErrorPair:
     Gauss quadrature on every cell of the mesh sol's system was assembled
     on (`sol.form`), whose cells each hold one polynomial piece of every
     basis function and lie on one side of gamma; u_J is evaluated from its
-    per-cell polynomials.  The reference is either the problem, whose
-    exact u and u' are evaluated at the mesh's Gauss nodes, or a pair of
-    arrays already at those nodes, (u, u') = `exact.values(gamma,
-    sol.form.nodes())`.  ValueError is raised for a problem whose gamma is
-    not an edge of the mesh, and for arrays of another shape.
+    per-cell polynomials.  The reference is the pair (u, u') at the mesh's
+    Gauss nodes, as `problem.exact.values(problem.gamma, sol.form.nodes())`
+    gives it; ValueError is raised for arrays of another shape.
     """
     form = sol.form
-    if isinstance(reference, InterfaceProblem):
-        if reference.exact is None:
-            raise ValueError("problem has no exact solution")
-        if not np.any(form.edges == reference.gamma):
-            raise ValueError(f"the solution's own mesh is not split at the problem's gamma {reference.gamma}")
-        ur, dur = reference.exact.values(reference.gamma, form.nodes())
-    else:
-        ur, dur = reference
-        if np.shape(ur) != form.w.shape or np.shape(dur) != form.w.shape:
-            raise ValueError("reference values must be given at the Gauss nodes of the solution's own mesh")
+    ur, dur = reference
+    if np.shape(ur) != form.w.shape or np.shape(dur) != form.w.shape:
+        raise ValueError("reference values must be given at the Gauss nodes of the solution's own mesh")
     uj, duj = form.values(sol.coefficients)
     w = form.w.ravel()
     e_l2 = math.sqrt(float(np.dot(w, ((uj - ur) ** 2).ravel())))

@@ -333,11 +333,8 @@ class Expression:
             return np.full(x.shape, out)
         return out.copy() if out is x else out  # the tree "x" evaluates to x itself
 
-    def diff(self, n: int = 1) -> "Expression":
-        tree = self.tree
-        for _ in range(n):
-            tree = tree.diff()
-        return Expression(tree)
+    def diff(self) -> "Expression":
+        return Expression(self.tree.diff())
 
     def is_constant(self) -> bool:
         return isinstance(self.tree, Const)

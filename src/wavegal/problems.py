@@ -12,6 +12,13 @@ Three ready-made problems are provided:
   Dirac weight at the interface.
 - ``ex3``: variable coefficient a+ = 1000 e^x, f = 1, no closed form.
 
+This module alone evaluates problem data and decides whether it is
+usable: `_checked` refuses a value that is not finite, or an a that is
+not > 0, naming the datum and the leftmost failing x.  It checks a at
+512 points per side when a problem is built, a and f wherever
+`InterfaceProblem.a` and `.f` are read (at the assembly's Gauss nodes),
+and u and u' wherever `ExactSolution.values` is, with numpy silent.
+
 Every field is text in the grammar of `wavegal.expressions`; constants
 are numbers or constant expression text such as "pi/6".  Whenever an
 exact solution is given and no source term is, f = -(a u')' is
@@ -56,22 +63,40 @@ class ExactSolution:
 
     def values(self, gamma: float, x) -> tuple[np.ndarray, np.ndarray]:
         """(u, u') at x, each side's closed forms on its side of gamma."""
-        return (_piecewise_call(self.u_minus, self.u_plus, gamma, x),
-                _piecewise_call(self.du_minus, self.du_plus, gamma, x))
+        return (_checked("exact solution", _piecewise_call(self.u_minus, self.u_plus, gamma, x), x),
+                _checked("exact derivative", _piecewise_call(self.du_minus, self.du_plus, gamma, x), x))
 
 
 def _piecewise_call(fm: Callable, fp: Callable, gamma: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate fm on x < gamma and fp on x >= gamma without mixing domains."""
+    """Evaluate fm on x < gamma and fp on x >= gamma without mixing domains,
+    with numpy's warnings off: `_checked` reports what they would."""
     x = np.asarray(x, dtype=float)
     neg = x < gamma
     n = np.count_nonzero(neg)
-    if n in (0, x.size):  # one side only: call it on x itself, no masked copies
-        out = np.asarray((fm if n else fp)(x), dtype=float)
-        return out if out.shape == x.shape else np.full(x.shape, out)
-    out = np.empty_like(x)
-    out[neg] = fm(x[neg])
-    out[~neg] = fp(x[~neg])
+    with np.errstate(all="ignore"):
+        if n in (0, x.size):  # one side only: call it on x itself, no masked copies
+            out = np.asarray((fm if n else fp)(x), dtype=float)
+            return out if out.shape == x.shape else np.full(x.shape, out)
+        out = np.empty_like(x)
+        out[neg] = fm(x[neg])
+        out[~neg] = fp(x[~neg])
     return out
+
+
+def _checked(what, v, x, positive=False) -> np.ndarray:
+    """v, a datum's values at the points x, refused with ExpressionError naming
+    what and the leftmost x where one is not finite or, with positive, not > 0.
+    Only min and max are read: they propagate a NaN and make no temporary."""
+    if not v.size:
+        return v
+    lo, hi = v.min(), v.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        why, bad = "finite", ~np.isfinite(v)
+    elif positive and not lo > 0.0:
+        why, bad = "positive", v <= 0.0
+    else:
+        return v
+    raise ExpressionError(f"{what} not {why} at x = {np.asarray(x, dtype=float)[bad].min():.17g}")
 
 
 @dataclass(frozen=True)
@@ -90,30 +115,21 @@ class InterfaceProblem:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"interface point {self.gamma} must lie in (0, 1)")
-        # positivity spot check on a dense grid per subdomain
-        xm = np.linspace(0.0, self.gamma, 513)[:-1]
-        xp = np.linspace(self.gamma, 1.0, 513)[1:]
-        am = np.asarray(self.a_minus(xm), dtype=float)
-        ap = np.asarray(self.a_plus(xp), dtype=float)
-        lo = np.minimum(am.min(), ap.min())  # a NaN sample propagates, and fails
-        if not lo > 0.0:
-            raise ValueError(f"diffusion coefficient not positive (min sample {lo})")
+        # spot check on 512 points per side, before the flux table divides by a
+        self.a(np.concatenate([np.linspace(0.0, self.gamma, 513)[:-1],
+                               np.linspace(self.gamma, 1.0, 513)[1:]]))
 
     def a(self, x):
-        return _piecewise_call(self.a_minus, self.a_plus, self.gamma, x)
+        a = _piecewise_call(self.a_minus, self.a_plus, self.gamma, x)
+        return _checked("diffusion coefficient", a, x, positive=True)
 
     def f(self, x):
-        return _piecewise_call(self.f_minus, self.f_plus, self.gamma, x)
+        return _checked("source term", _piecewise_call(self.f_minus, self.f_plus, self.gamma, x), x)
 
     def u(self, x):
         if self.exact is None:
             raise ValueError("problem has no exact solution")
         return _piecewise_call(self.exact.u_minus, self.exact.u_plus, self.gamma, x)
-
-    def du(self, x):
-        if self.exact is None:
-            raise ValueError("problem has no exact solution")
-        return _piecewise_call(self.exact.du_minus, self.exact.du_plus, self.gamma, x)
 
 
 # quintic coefficients of ex1's right-hand solution, in the constants
@@ -343,7 +359,7 @@ class _FluxSolution(ExactSolution):
         out = np.empty((2,) + x.shape)
         out[:, neg] = self.left(x[neg])
         out[:, ~neg] = self.right(x[~neg])
-        return out[0], out[1]
+        return _checked("exact solution", out[0], x), _checked("exact derivative", out[1], x)
 
 
 def _pair(spec, name, what, constants):

@@ -1,6 +1,5 @@
 """Unit tests for assembly, solving, and solution evaluation."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -898,7 +897,8 @@ class TestSubsystem:
                                    assemble(system.basis, p).form)  # its own mesh and C
             for got, want in zip(evaluate_solution(sol, xs), evaluate_solution(own, xs)):
                 assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
-            got, want = error_norms(sol, p), error_norms(own, p)
+            got = error_norms(sol, p.exact.values(p.gamma, sol.form.nodes()))
+            want = error_norms(own, p.exact.values(p.gamma, own.form.nodes()))
             assert got.E_L2 == pytest.approx(want.E_L2, rel=1e-8)
             assert got.E_H1 == pytest.approx(want.E_H1, rel=1e-8)
         # a sub-system of a sub-system reads the same columns of the top C
@@ -910,13 +910,14 @@ class TestSubsystem:
         # assembly drops its node array once a and f are read: the form's
         # nodes are rebuilt from the edges, bit for bit those a and f were
         # read at, and the sweep's once-made values give a level the errors
-        # the problem gives it
+        # its own nodes give it
         p = builtin_problem("ex1")
         basis = enriched_basis(sys2, 2, 7, p.gamma)
         full = assemble(basis, p)
         assert np.array_equal(full.form.nodes(), _graded_mesh(basis, p.gamma)[1])
         sol = solve(subsystem(full, 5))
-        assert error_norms(sol, p.exact.values(p.gamma, full.form.nodes())) == error_norms(sol, p)
+        assert error_norms(sol, p.exact.values(p.gamma, full.form.nodes())) == error_norms(
+            sol, p.exact.values(p.gamma, sol.form.nodes()))
 
     def test_given_values_need_the_solutions_own_mesh(self, sys2):
         p = builtin_problem("ex1")
@@ -925,5 +926,3 @@ class TestSubsystem:
         u, du = p.exact.values(p.gamma, full.form.nodes())
         with pytest.raises(ValueError, match="own mesh"):
             error_norms(sol, (u[1:], du[1:]))
-        with pytest.raises(ValueError, match="own mesh"):  # a problem whose gamma is no mesh edge
-            error_norms(sol, dataclasses.replace(p, gamma=0.3))
