@@ -13,11 +13,14 @@ and its errors are measured on that one graded mesh, at whose Gauss
 nodes the exact u and u' are evaluated once, after the first level's
 factor is freed.
 
-Configs are INI files with an [experiment] section and an optional
-[problem] section; every experiment key can be overridden from the
-command line.  Exit codes: 0 success, 2 bad configuration (with problem
-data that `problems` refuses, and an assembly that overflowed), 3 system
-verification failure, 4 solver failure.
+Configs are UTF-8 INI files with an [experiment] section and an
+optional [problem] section, whose keys replace those of the builtin
+problem's spec (or make up an inline one) before `problem_from_spec`
+checks and builds it; every experiment key can be overridden from the
+command line.  Exit codes: 0 success, 2 bad configuration (with a file
+configparser cannot parse, problem data that `problems` refuses, and an
+assembly that overflowed), 3 system verification failure, 4 solver
+failure.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .analysis import (
 from .basis import enriched_basis, truncated_basis
 from .galerkin import SolverError, assemble, condition_number, solve, subsystem
 from .expressions import ExpressionError
-from .problems import BUILTIN_PROBLEMS, builtin_problem, problem_from_spec
+from .problems import BUILTIN_PROBLEMS, problem_from_spec
 from .wavelets import (
     SystemFormatError,
     SystemVerificationError,
@@ -91,12 +94,15 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as e:  # one line: configparser's may span several
+        raise ConfigError(f"cannot parse config file {path!r}: {' '.join(str(e).split())}") from e
     cfg = ExperimentConfig()
-    if cp.has_section("experiment"):
-        sec = cp["experiment"]
+    if "experiment" in sections:
+        sec = sections["experiment"]
         unknown = sorted(set(sec) - set(_EXPERIMENT_KEYS))
         if unknown:
             raise ConfigError(f"unknown key(s) in [experiment]: {', '.join(unknown)}")
@@ -105,17 +111,17 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.mode = sec.get("mode", cfg.mode)
         try:
             if "jmin" in sec:
-                cfg.jmin = sec.getint("jmin")
+                cfg.jmin = int(sec["jmin"])
             if "jmax" in sec:
-                cfg.jmax = sec.getint("jmax")
+                cfg.jmax = int(sec["jmax"])
         except ValueError as e:
             raise ConfigError(f"bad integer in [experiment]: {e}") from e
         cfg.out = sec.get("out", cfg.out)
-    if cp.has_section("problem"):
-        cfg.problem_spec = dict(cp["problem"])
+    if "problem" in sections:
+        cfg.problem_spec = sections["problem"]
         # a [problem] section without an explicit builtin id means the
         # problem is defined inline; with one, the section holds overrides
-        if not cp.has_option("experiment", "problem"):
+        if "problem" not in sections.get("experiment", {}):
             cfg.problem = "inline"
     return cfg
 
@@ -130,11 +136,11 @@ def _get_system(source: str):
 
 
 def _get_problem(cfg: ExperimentConfig):
+    """The builtin problem's spec with the [problem] keys over it; an inline
+    problem has only the latter."""
     try:
-        if cfg.problem == "inline":
-            return problem_from_spec(cfg.problem_spec, name="inline")
-        return builtin_problem(cfg.problem, **cfg.problem_spec)
-    except (ExpressionError, KeyError, ValueError) as e:
+        return problem_from_spec({**BUILTIN_PROBLEMS.get(cfg.problem, {}), **cfg.problem_spec}, name=cfg.problem)
+    except ValueError as e:  # ExpressionError among them
         raise ConfigError(f"bad problem definition: {e}") from e
 
 

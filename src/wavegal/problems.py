@@ -19,11 +19,14 @@ not > 0, naming the datum and the leftmost failing x.  It checks a at
 `InterfaceProblem.a` and `.f` are read (at the assembly's Gauss nodes),
 and u and u' wherever `ExactSolution.values` is, with numpy silent.
 
-Every field is text in the grammar of `wavegal.expressions`; constants
-are numbers or constant expression text such as "pi/6".  Whenever an
-exact solution is given and no source term is, f = -(a u')' is
-manufactured on each subdomain by differentiating the parsed trees, so
-it is itself a folded expression tree.  Whenever the sources are given
+A spec is a mapping of the keys in `_SPEC_KEYS`, and any other key is
+refused.  Every field is text in the grammar of `wavegal.expressions`;
+constants, a mapping, holds numbers or constant expression text such as
+"pi/6".  A given exact solution must meet u(0) = u(1) = 0, [u] = 0 and
+the flux jump at gamma (`_check_exact`).  Whenever an exact solution is
+given and no source term is, f = -(a u')' is manufactured on each
+subdomain by differentiating the parsed trees, so it is itself a folded
+expression tree.  Whenever the sources are given
 and no exact solution is, u is built by quadrature of the flux
 a u' = C - int_0^x f + g [x > gamma], with C fixed by u(1) = 0, so
 every problem has an exact u to measure errors against.
@@ -42,6 +45,7 @@ one searchsorted and one Clenshaw pass.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -99,6 +103,12 @@ def _checked(what, v, x, positive=False) -> np.ndarray:
     raise ExpressionError(f"{what} not {why} at x = {np.asarray(x, dtype=float)[bad].min():.17g}")
 
 
+def _spot_samples(gamma) -> np.ndarray:
+    """512 points per side of gamma, 0 and 1 among them: where a is checked
+    when a problem is built, and a given exact solution's scale is read."""
+    return np.concatenate([np.linspace(0.0, gamma, 513)[:-1], np.linspace(gamma, 1.0, 513)[1:]])
+
+
 @dataclass(frozen=True)
 class InterfaceProblem:
     """Data of -(a u')' = f - g_gamma * delta_gamma on (0,1), u(0)=u(1)=0."""
@@ -115,9 +125,7 @@ class InterfaceProblem:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"interface point {self.gamma} must lie in (0, 1)")
-        # spot check on 512 points per side, before the flux table divides by a
-        self.a(np.concatenate([np.linspace(0.0, self.gamma, 513)[:-1],
-                               np.linspace(self.gamma, 1.0, 513)[1:]]))
+        self.a(_spot_samples(self.gamma))  # before the flux table divides by a
 
     def a(self, x):
         a = _piecewise_call(self.a_minus, self.a_plus, self.gamma, x)
@@ -373,16 +381,64 @@ def _pair(spec, name, what, constants):
     return tuple(parse_expression(str(t), constants) for t in texts)
 
 
-def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
+# a given exact solution must meet u(0) = u(1) = 0, [u](gamma) = 0 and the
+# flux jump to this share of its scale
+_EXACT_TOL = 1e-6
+
+
+def _check_exact(p: InterfaceProblem) -> None:
+    """Refuse a given exact solution that misses u(0) = 0, u(1) = 0,
+    [u](gamma) = 0 or a+ u+'(gamma) - a- u-'(gamma) = g_gamma by more than
+    _EXACT_TOL of its scale: max |u|, or max |a u'| and |g_gamma|, over the
+    spot samples and gamma's two sides.  Silent when a value it reads is not
+    finite: `_checked` refuses those where they are used."""
+    e, x, g = p.exact, _spot_samples(p.gamma), np.array([p.gamma])
+    with np.errstate(all="ignore"):
+        u = _piecewise_call(e.u_minus, e.u_plus, p.gamma, x)
+        flux = _piecewise_call(e.du_minus, e.du_plus, p.gamma, x) * p.a(x)
+        um, up = e.u_minus(g)[0], e.u_plus(g)[0]
+        fm, fp = p.a_minus(g)[0] * e.du_minus(g)[0], p.a_plus(g)[0] * e.du_plus(g)[0]
+    if not np.isfinite(np.concatenate([u, flux, [um, up, fm, fp, p.g_gamma]])).all():
+        return
+    u_scale = max(np.abs(u).max(), abs(um), abs(up))
+    flux_scale = max(np.abs(flux).max(), abs(fm), abs(fp), abs(p.g_gamma))
+    for what, residual, scale in (
+        ("u(0) = 0", u[0], u_scale),
+        ("u(1) = 0", u[-1], u_scale),
+        ("[u](gamma) = 0", up - um, u_scale),
+        ("a+ u+'(gamma) - a- u-'(gamma) = g_gamma", fp - fm - p.g_gamma, flux_scale),
+    ):
+        if abs(residual) > _EXACT_TOL * scale:
+            raise ExpressionError(f"the exact solution misses {what}: residual {residual:.3g} "
+                                  f"exceeds {_EXACT_TOL:g} of its scale {scale:.3g}")
+
+
+# the keys of a problem spec, and those of them it must give
+_SPEC_KEYS = ("gamma", "a_minus", "a_plus", "f_minus", "f_plus", "u_minus", "u_plus", "g_gamma", "constants")
+_REQUIRED_KEYS = ("gamma", "a_minus", "a_plus", "g_gamma")
+
+
+def problem_from_spec(spec: Mapping, name: str = "") -> InterfaceProblem:
     """Build an InterfaceProblem from an expression-level description.
 
-    Required keys: gamma, a_minus, a_plus, g_gamma.  The sources
-    (f_minus, f_plus) and the exact solutions (u_minus, u_plus) are each
-    given as a pair or not at all, and at least one pair is given.  Missing
-    sources are manufactured from the exact solution, and a missing exact
-    solution is built by quadrature of the flux.
+    Its keys are _SPEC_KEYS, and any other is refused.  Required: gamma,
+    a_minus, a_plus, g_gamma.  The sources (f_minus, f_plus) and the exact
+    solutions (u_minus, u_plus) are each given as a pair or not at all, and
+    at least one pair is given.  Missing sources are manufactured from the
+    exact solution, and a missing exact solution is built by quadrature of
+    the flux; a given one must meet the boundary and interface conditions
+    (`_check_exact`).  constants, when given, maps names to numbers or
+    constant expression text.
     """
-    constants = dict(spec.get("constants", {}))
+    unknown = sorted(set(spec) - set(_SPEC_KEYS))
+    if unknown:
+        raise ExpressionError(f"unknown problem key(s): {', '.join(unknown)} (known: {', '.join(_SPEC_KEYS)})")
+    missing = [k for k in _REQUIRED_KEYS if k not in spec]
+    if missing:
+        raise ExpressionError(f"problem spec lacks {', '.join(missing)}")
+    constants = spec.get("constants", {})
+    if not isinstance(constants, Mapping):
+        raise ExpressionError(f"constants must be a mapping of names to values, got {constants!r}")
     gamma = _const_value(spec["gamma"], constants)
     g_gamma = _const_value(spec["g_gamma"], constants)
     a_minus = parse_expression(str(spec["a_minus"]), constants)
@@ -408,18 +464,11 @@ def problem_from_spec(spec: dict, name: str = "") -> InterfaceProblem:
     )
     if exact is None:  # the table divides by a, so it is built once a > 0 is checked
         exact = _flux_quadrature(gamma, a_minus, a_plus, f_minus, f_plus, g_gamma)
-        problem = replace(problem, exact=exact)
+        return replace(problem, exact=exact)
+    _check_exact(problem)
     return problem
 
 
-def builtin_problem(pid: str, **overrides) -> InterfaceProblem:
-    """One of the built-in problems, with optional field overrides."""
-    if pid not in BUILTIN_PROBLEMS:
-        raise KeyError(f"unknown problem id {pid!r}; choose from {sorted(BUILTIN_PROBLEMS)}")
-    spec = dict(BUILTIN_PROBLEMS[pid])
-    constants = dict(spec.get("constants", {}))
-    if "constants" in overrides:
-        constants.update(overrides.pop("constants"))
-    spec.update(overrides)
-    spec["constants"] = constants
-    return problem_from_spec(spec, name=pid)
+def builtin_problem(pid: str) -> InterfaceProblem:
+    """The built-in problem pid, one of BUILTIN_PROBLEMS."""
+    return problem_from_spec(BUILTIN_PROBLEMS[pid], name=pid)

@@ -250,6 +250,38 @@ class TestExitCodes:
     def test_non_finite_data_is_config_error(self, tmp_path, capsys, fields, what):
         assert what in self.refused(tmp_path, capsys, fields)
 
+    @pytest.mark.parametrize("body, why", [
+        # files configparser cannot read, or a value it cannot interpolate: each
+        # was a traceback and exit code 1
+        (b"[experiment]\njmax = 4\njmax = 5\n", "[line 3]: option 'jmax' in section 'experiment' already exists"),
+        (b"[experiment]\njmax = 4\n[experiment]\njmin = 2\n", "[line 3]: section 'experiment' already exists"),
+        (b"jmax = 4\n", "File contains no section headers."),
+        (b"[experiment]\njmax\n", "[line 2]: 'jmax"),
+        (b"[experiment]\njmax = 4\n# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"[experiment]\nproblem = ex2\njmax = 4\n[problem]\na_plus = 5%\n", "'%' must be followed by '%' or '('"),
+        # [problem] keys no spec has: ignored with exit code 0, or for pid a
+        # TypeError traceback
+        (b"[experiment]\nproblem = ex2\njmax = 4\n[problem]\nbogus = 1\n", "unknown problem key(s): bogus"),
+        (b"[experiment]\nproblem = ex2\njmax = 4\n[problem]\na_plsu = 5\n", "unknown problem key(s): a_plsu"),
+        (b"[experiment]\nproblem = ex2\njmax = 4\n[problem]\npid = ex1\n", "unknown problem key(s): pid"),
+        (b"[experiment]\nproblem = ex2\njmax = 4\n[problem]\nconstants = A\n",
+         "constants must be a mapping of names to values, got 'A'"),
+        # ex1's u, built for gamma = pi/6, at gamma = 0.3: was exit code 0, orders of 0.00
+        (b"[experiment]\nproblem = ex1\njmax = 4\n[problem]\ngamma = 0.3\n",
+         "the exact solution misses [u](gamma) = 0: residual "),
+    ], ids=["duplicate-option", "duplicate-section", "no-section-header", "no-equals", "undecodable",
+            "interpolation", "bogus", "a_plsu", "pid", "constants", "ex1-gamma"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, body, why):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(body)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+        assert why in lines[0] and "Traceback" not in captured.err
+        assert captured.out == "" and not list(out.glob("*"))
+
     def test_assembly_overflow_is_config_error(self, tmp_path, capsys):
         # a and f are finite at every node, the stiffness entries are not
         err = self.refused(tmp_path, capsys, {"a_plus": "1e305"}, jmax=10)

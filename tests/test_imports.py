@@ -100,6 +100,12 @@ def test_names_the_benchmark_reads_resolve(monkeypatch):
     import wavegal.cli as cli
 
     assert callable(cli.run) and callable(cli.ExperimentConfig)
+    # its workloads build their configs by these keywords, and their problems
+    # by one positional id
+    cfg = cli.ExperimentConfig(problem="ex2", jmin=2, jmax=3)
+    assert (cfg.problem, cfg.jmin, cfg.jmax) == ("ex2", 2, 3)
+    assert list(inspect.signature(wavegal.builtin_problem).parameters) == ["pid"]
+    assert wavegal.builtin_problem("ex2").name == "ex2"
     # the benchmark's hook calls it positionally
     assert list(inspect.signature(cli.enriched_basis).parameters) == ["sys", "J0", "J", "gamma"]
     sys2 = wavegal.builtin_order2_system()

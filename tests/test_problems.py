@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -220,7 +221,8 @@ class TestBuiltinProblems:
         assert p.a(np.array([0.9]))[0] == pytest.approx(1000 * math.exp(0.9))
 
     def test_constant_override(self):
-        p = builtin_problem("ex2", constants={"A": 7.0})
+        spec = BUILTIN_PROBLEMS["ex2"]
+        p = problem_from_spec({**spec, "constants": {**spec["constants"], "A": 7.0}}, name="ex2")
         assert p.a(np.array([0.9]))[0] == pytest.approx(7.0)
 
 
@@ -291,7 +293,29 @@ class TestFoldedTrees:
         assert len(calls) == 2
 
 
+SMOOTH = {"gamma": "0.5", "a_minus": "1", "a_plus": "1", "g_gamma": "0", "u_minus": "x*(1-x)", "u_plus": "x*(1-x)"}
+
+
 class TestProblemFromSpec:
+    def test_required_keys(self):
+        spec = {k: v for k, v in SMOOTH.items() if k not in ("gamma", "g_gamma")}
+        with pytest.raises(ExpressionError, match="problem spec lacks gamma, g_gamma"):
+            problem_from_spec(spec)
+
+    @pytest.mark.parametrize("fields, condition", [
+        ({"u_minus": "x*(1-x) + 0.01", "u_plus": "x*(1-x) + 0.01"}, "u(0) = 0"),
+        ({"u_plus": "x*(1-x) + 0.01*(2*x-1)^2"}, "u(1) = 0"),
+        ({"u_plus": "x*(1-x) + 0.01*(x-1)"}, "[u](gamma) = 0"),
+        ({"g_gamma": "0.01"}, "a+ u+'(gamma) - a- u-'(gamma) = g_gamma"),
+    ])
+    def test_exact_solution_meets_its_conditions(self, fields, condition):
+        with pytest.raises(ExpressionError, match=re.escape(f"the exact solution misses {condition}: residual ")):
+            problem_from_spec({**SMOOTH, **fields})
+
+    def test_exact_solution_within_tolerance(self):
+        # a flux jump off by 1e-8 of max |a u'| = 1 is rounding, not a wrong solution
+        problem_from_spec({**SMOOTH, "g_gamma": "1e-8"})
+
     def test_sources_or_exact_required(self):
         with pytest.raises(ExpressionError, match="sources"):
             problem_from_spec({"gamma": "0.5", "a_minus": "1", "a_plus": "2", "g_gamma": "0"})
